@@ -12,7 +12,6 @@ rate studies), and :mod:`~eamchain.cli` (batch experiment driver).
 from .lattice import (
     ChainGrid,
     PeriodicField,
-    UniformDeformation,
     diff,
     displacement_from_strain,
     norm_l2eps,

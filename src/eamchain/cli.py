@@ -9,12 +9,14 @@ bytes, except for the wall-clock runtime_ms diagnostic column of rate
 studies.
 
 Exit status: 0 all invoked checks passed, 1 a validation check failed,
-2 config parse error, 3 numerical failure.
+2 config error (a malformed value; the message names its flag or file:line),
+3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import ChainGrid, PeriodicField, diff, displacement_from_strain, norm_region
+from .lattice import ChainGrid, PeriodicField, diff, displacement_from_strain
 from .models import (
     Deformation,
     ModelKind,
@@ -36,16 +38,11 @@ from .potentials import check_assumptions, load_potential_file, validate_derivat
 from .solver import (
     NotPositiveDefiniteError,
     SolveError,
-    consistency_residual,
-    continuum_norm_sites,
+    consistency_point,
     convergence_study,
     cosine_load,
     fit_loglog_slope,
-    fixed_k_rule,
-    interface_sites,
-    negative_norm,
     power_k_rule,
-    solve_linearized,
 )
 from .stability import (
     BracketError,
@@ -59,20 +56,6 @@ from .stability import (
 from .textconfig import ConfigError, parse_kv_lines
 
 COMMANDS = ("validate", "spectrum", "critical-strain", "converge", "consistency", "remark44")
-
-CONFIG_KEYS = {
-    "command",
-    "potential",
-    "F",
-    "F_list",
-    "F_range",
-    "N",
-    "N_list",
-    "K",
-    "K_rule",
-    "out_dir",
-    "seed",
-}
 
 
 @dataclass
@@ -88,16 +71,8 @@ class ExperimentConfig:
     seed: int = 20240
 
     def k_for(self, n: int) -> int:
-        if self.K_rule == "fixed":
-            return self.K
-        if self.K_rule.startswith("power:"):
-            return power_k_rule(float(self.K_rule.split(":", 1)[1]))(n)
-        raise ConfigError(f"unknown K_rule {self.K_rule!r} (use 'fixed' or 'power:THETA')")
-
-    def k_rule_callable(self):
-        if self.K_rule == "fixed":
-            return fixed_k_rule(self.K)
-        return power_k_rule(float(self.K_rule.split(":", 1)[1]))
+        theta = _power_theta(self.K_rule)
+        return self.K if theta is None else power_k_rule(theta)(n)
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
@@ -118,18 +93,40 @@ class ExperimentConfig:
             raise ConfigError("critical-strain needs F_range = lo:hi")
 
 
-def _parse_floats(text: str, origin: str) -> tuple:
+def _power_theta(rule: str) -> float | None:
+    """THETA of a 'power:THETA' K rule (K = floor(N**THETA)); None for 'fixed'."""
+    if rule == "fixed":
+        return None
+    head, _, text = rule.partition(":")
     try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"{origin}: bad float list {text!r}") from exc
+        theta = float(text) if head == "power" else math.nan
+    except ValueError:
+        theta = math.nan
+    if not 0.0 <= theta <= 1.0:
+        raise ConfigError(
+            f"unknown K_rule {rule!r} (use 'fixed' or 'power:THETA', 0 <= THETA <= 1)"
+        )
+    return theta
 
 
-def _parse_ints(text: str, origin: str) -> tuple:
+def _parse_strain(text: str, origin: str) -> float:
     try:
-        return tuple(int(part) for part in text.split(","))
+        value = float(text)
     except ValueError as exc:
-        raise ConfigError(f"{origin}: bad integer list {text!r}") from exc
+        raise ConfigError(f"{origin}: bad number {text!r}") from exc
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{origin}: strain must be finite and positive, got {text!r}")
+    return value
+
+
+def _parse_int(text: str, origin: str, minimum: int) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"{origin}: bad integer {text!r}") from exc
+    if value < minimum:
+        raise ConfigError(f"{origin}: need an integer >= {minimum}, got {value}")
+    return value
 
 
 def _apply_entry(cfg: ExperimentConfig, key: str, value: str, origin: str) -> None:
@@ -138,22 +135,30 @@ def _apply_entry(cfg: ExperimentConfig, key: str, value: str, origin: str) -> No
     elif key == "potential":
         cfg.potential = value
     elif key in ("F", "F_list"):
-        cfg.F_values = _parse_floats(value, origin)
+        cfg.F_values = tuple(_parse_strain(part, origin) for part in value.split(","))
     elif key == "F_range":
         parts = value.split(":")
         if len(parts) != 2:
             raise ConfigError(f"{origin}: F_range must be lo:hi, got {value!r}")
-        cfg.F_range = (float(parts[0]), float(parts[1]))
+        lo, hi = (_parse_strain(part, origin) for part in parts)
+        if not lo < hi:
+            raise ConfigError(f"{origin}: F_range needs lo < hi, got {value!r}")
+        cfg.F_range = (lo, hi)
     elif key in ("N", "N_list"):
-        cfg.N_values = _parse_ints(value, origin)
+        # ChainGrid needs N >= 4
+        cfg.N_values = tuple(_parse_int(part, origin, 4) for part in value.split(","))
     elif key == "K":
-        cfg.K = int(value)
+        cfg.K = _parse_int(value, origin, 0)
     elif key == "K_rule":
+        try:
+            _power_theta(value)
+        except ConfigError as exc:
+            raise ConfigError(f"{origin}: {exc}") from exc
         cfg.K_rule = value
     elif key == "out_dir":
         cfg.out_dir = value
     elif key == "seed":
-        cfg.seed = int(value)
+        cfg.seed = _parse_int(value, origin, 0)
     else:
         raise ConfigError(f"{origin}: unknown key {key!r}")
 
@@ -162,8 +167,6 @@ def load_config(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     text = Path(path).read_text(encoding="utf-8")
     for lineno, key, value in parse_kv_lines(text, origin=str(path)):
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         _apply_entry(cfg, key, value, f"{path}:{lineno}")
     return cfg
 
@@ -356,9 +359,7 @@ plot 'converge.csv' using 3:4 skip 1 with linespoints title 'strain error', \\
 
 def _run_converge(cfg: ExperimentConfig) -> int:
     p = load_potential_file(cfg.potential)
-    records, rates = convergence_study(
-        p, cfg.F_values[0], cosine_load, cfg.k_rule_callable(), cfg.N_values
-    )
+    records, rates = convergence_study(p, cfg.F_values[0], cosine_load, cfg.k_for, cfg.N_values)
     rows = [
         [
             r.N,
@@ -412,11 +413,7 @@ def _run_consistency(cfg: ExperimentConfig) -> int:
     for n in cfg.N_values:
         grid = ChainGrid(n)
         region = RegionDecomposition(n, cfg.k_for(n))
-        u_a = solve_linearized(ModelKind.ATOMISTIC, region, p, f_val, cosine_load(grid))
-        t_res = consistency_residual(region, p, f_val, u_a)
-        negnorm = negative_norm(t_res)
-        d3 = norm_region(diff(u_a, 3), continuum_norm_sites(region), "l2")
-        d2max = norm_region(diff(u_a, 2), interface_sites(region), "max")
+        _, negnorm, d3, d2max = consistency_point(region, p, f_val, cosine_load(grid))
         eps = grid.epsilon
         # Single per-N constant that makes the two-term bound an equality;
         # stability of this number across N is the operational form of the
@@ -483,10 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--F", dest="F", help="strain or comma list of strains")
     parser.add_argument("--F-range", dest="F_range", help="bisection bracket lo:hi")
     parser.add_argument("--N", dest="N", help="chain size or comma list")
-    parser.add_argument("--K", dest="K", type=int, help="atomistic half-width")
+    parser.add_argument("--K", dest="K", help="atomistic half-width")
     parser.add_argument("--K-rule", dest="K_rule", help="'fixed' or 'power:THETA'")
     parser.add_argument("--out-dir", dest="out_dir", help="output directory")
-    parser.add_argument("--seed", type=int, help="seed for randomized validation suites")
+    parser.add_argument("--seed", help="seed for randomized validation suites")
     return parser
 
 
@@ -494,24 +491,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        if args.command:
-            cfg.command = args.command
-        if args.potential:
-            cfg.potential = args.potential
-        if args.F:
-            _apply_entry(cfg, "F", args.F, "<flag --F>")
-        if args.F_range:
-            _apply_entry(cfg, "F_range", args.F_range, "<flag --F-range>")
-        if args.N:
-            _apply_entry(cfg, "N", args.N, "<flag --N>")
-        if args.K is not None:
-            cfg.K = args.K
-        if args.K_rule:
-            cfg.K_rule = args.K_rule
-        if args.out_dir:
-            cfg.out_dir = args.out_dir
-        if args.seed is not None:
-            cfg.seed = args.seed
+        for key, value in vars(args).items():
+            if key != "config" and value is not None:
+                _apply_entry(cfg, key, value, f"<flag --{key.replace('_', '-')}>")
         cfg.validate()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,19 +12,17 @@ functions, so everything here is safe to evaluate concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ChainGrid",
     "PeriodicField",
-    "UniformDeformation",
     "diff",
     "norm_l2eps",
     "norm_region",
     "strain_fourier",
-    "strain_from_fourier",
     "displacement_from_strain",
 ]
 
@@ -68,17 +66,6 @@ class ChainGrid:
     def positions(self) -> np.ndarray:
         """Reference positions ``x_l = epsilon * l`` in array order."""
         return self.epsilon * self.sites()
-
-
-@dataclass(frozen=True)
-class UniformDeformation:
-    """Macroscopic deformation gradient F > 0 stretching the reference chain."""
-
-    F: float
-
-    def __post_init__(self) -> None:
-        if not self.F > 0:
-            raise ValueError(f"deformation gradient must be positive, got F={self.F}")
 
 
 @dataclass(frozen=True)
@@ -131,9 +118,6 @@ class PeriodicField:
 
     def __getitem__(self, site: int) -> float:
         return float(self.values[self.grid.index(site)])
-
-    def with_values(self, values: np.ndarray, kind: str | None = None) -> "PeriodicField":
-        return PeriodicField(self.grid, values, self.kind if kind is None else kind)
 
     def __add__(self, other: "PeriodicField") -> "PeriodicField":
         self._check_same_grid(other)
@@ -196,12 +180,6 @@ def norm_region(v: PeriodicField, region, mode: str = "l2") -> float:
     raise ValueError(f"unknown norm mode {mode!r}")
 
 
-def _fourier_basis(grid: ChainGrid) -> np.ndarray:
-    """Matrix E[k, l] = exp(i pi k l / N) in array order for k and l."""
-    sites = grid.sites()
-    return np.exp(1j * np.pi * np.outer(sites, sites) / grid.N)
-
-
 def strain_fourier(u: PeriodicField) -> np.ndarray:
     """Coefficients c_k of the strain expansion of a displacement field.
 
@@ -210,22 +188,18 @@ def strain_fourier(u: PeriodicField) -> np.ndarray:
         (Du)_l = sum_k c_k / sqrt(2) * exp(i k l pi / N).
 
     Parseval then gives ``sum |c_k|^2 = ||Du||^2`` in the l2_eps norm, and
-    c_0 = 0 because periodic strains sum to zero.  Direct O(N^2) transform;
-    adequate at desk scale.
+    c_0 = 0 because periodic strains sum to zero.  Computed by one FFT: the
+    site labels start at l = -N+1, which multiplies the FFT entry k (mod 2N)
+    by exp(i pi k (N-1) / N); that phase is reduced mod 2N in integers.
     """
     if u.kind != "displacement":
         raise ValueError(f"strain spectrum needs a displacement field, got {u.kind!r}")
     grid = u.grid
-    du = diff(u, 1).values
-    basis = _fourier_basis(grid)
-    return np.sqrt(2.0) / grid.period_atoms * (basis.conj() @ du)
-
-
-def strain_from_fourier(grid: ChainGrid, c: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`strain_fourier`: strain values from coefficients."""
-    basis = _fourier_basis(grid)
-    vals = (basis @ np.asarray(c)) / np.sqrt(2.0)
-    return np.real_if_close(vals, tol=1000)
+    n = grid.period_atoms
+    k = grid.sites()
+    spectrum = np.fft.fft(diff(u, 1).values)[k % n]
+    phase = np.exp(1j * np.pi * ((k * (grid.N - 1)) % n) / grid.N)
+    return np.sqrt(2.0) / n * phase * spectrum
 
 
 def displacement_from_strain(grid: ChainGrid, strain: np.ndarray) -> PeriodicField:

@@ -1,15 +1,13 @@
 """Atomistic, quasi-nonlocal, and local chain energies with exact derivatives.
 
-Every model energy here is a sum of per-atom contributions, and every
-per-atom contribution is built from two elementary shapes in the strains
-``r_l = (Dy)_l``:
-
-* a pair term        ``w * phi(r_{b1} + r_{b2} + ...)``
-* an embedding term  ``w * G( sum_t c_t * rho(r over t's bonds) )``
-
-A bond list ``[l]`` means the nearest-neighbor argument ``r_l``; ``[l, l-1]``
-means the next-nearest argument ``r_l + r_{l-1}``; the doubled list
-``[l, l]`` encodes the locally uniform next-nearest argument ``2 r_l``.
+Every model energy here is a sum of per-atom contributions.  Each atom's
+table is a list of density groups ``(w, [(c, bonds), ...])`` over the strains
+``r_l = (Dy)_l``: a group contributes ``w * G(sum_t c_t * rho(arg_t))``, and
+each of its density terms also contributes ``phi(arg_t) / 2``, because every
+pair neighbour of an atom is one of its density neighbours, at the same
+argument.  A bond list ``[l]`` means the nearest-neighbor argument ``r_l``;
+``[l, l-1]`` means the next-nearest argument ``r_l + r_{l-1}``; the doubled
+list ``[l, l]`` encodes the locally uniform next-nearest argument ``2 r_l``.
 Energies, gradients, and Hessians all come from one chain-rule pass over
 these term tables, so the three couplings differ only in their tables:
 
@@ -19,10 +17,9 @@ these term tables, so the three couplings differ only in their tables:
 * quasi-nonlocal (QNL): atomistic inside ``|l| <= K``, Cauchy-Born outside,
   and the four transition atoms ``+-(K+1), +-(K+2)`` mix one-sided exact
   densities toward the atomistic core with Cauchy-Born densities toward the
-  continuum.  The transition tables are written for the positive side and
-  mirrored explicitly for the negative side (site reflection l -> -l, bond
-  reflection b -> 1-b), the only completion consistent with a symmetric
-  energy.
+  continuum.  The transition tables are written for the positive side; the
+  negative side is their reflection (site l -> -l, bond b -> 1-b), the only
+  completion consistent with a symmetric energy.
 
 Conventions: the model energy is the interaction energy per period (dead
 loads are handled in :mod:`eamchain.solver`).  Gradients g satisfy
@@ -74,9 +71,10 @@ class RegionDecomposition:
     """Atomistic core of half-width K, two transition atoms per side,
     Cauchy-Born continuum elsewhere.
 
-    Valid for 0 <= K < N - 2.  Experiments additionally keep K < N - 5 so
-    the mirrored transition stencils cannot share sites across the period
-    (enforced by the driver, not here).
+    Valid for 0 <= K < N - 2.  The tables stay exact over that whole range,
+    also where the mirrored transition stencils share sites across the
+    period (K >= N - 5): the coupled pair energy matches its per-atom
+    formulas and the uniform state carries no ghost force.
     """
 
     N: int
@@ -93,13 +91,6 @@ class RegionDecomposition:
         if abs(l) in (self.K + 1, self.K + 2):
             return "quasi-nonlocal"
         return "continuum"
-
-    def atomistic_sites(self) -> list[int]:
-        return list(range(-self.K, self.K + 1))
-
-    def interface_sites(self) -> list[int]:
-        K = self.K
-        return [-(K + 2), -(K + 1), K + 1, K + 2]
 
 
 @dataclass(frozen=True)
@@ -149,10 +140,6 @@ class SymmetricBandedOperator:
         b.flags.writeable = False
         object.__setattr__(self, "bands", b)
 
-    @property
-    def half_bandwidth(self) -> int:
-        return SITE_HALF_BANDWIDTH
-
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Matrix-vector product with a full-period value array."""
         v = np.asarray(values, dtype=float)
@@ -166,17 +153,6 @@ class SymmetricBandedOperator:
         """<Hu, u> in the l2_eps pairing."""
         return float(self.grid.epsilon * np.dot(u.values, self.apply(u.values)))
 
-    def row(self, site: int) -> np.ndarray:
-        """Full dense row for the given site label."""
-        n = self.grid.period_atoms
-        i = self.grid.index(site)
-        out = np.zeros(n)
-        out[i] += self.bands[i, 0]
-        for j in range(1, SITE_HALF_BANDWIDTH + 1):
-            out[(i + j) % n] += self.bands[i, j]
-            out[(i - j) % n] += self.bands[(i - j) % n, j]
-        return out
-
     def to_dense(self) -> np.ndarray:
         n = self.grid.period_atoms
         idx = np.arange(n)
@@ -187,104 +163,43 @@ class SymmetricBandedOperator:
             out[(idx + j) % n, idx] += self.bands[:, j]
         return out
 
-    def row_sums(self) -> np.ndarray:
-        return self.to_dense().sum(axis=1)
-
 
 # --------------------------------------------------------------------------
 # Per-atom term tables.
 #
-# A pair entry is (weight, bonds); an embedding entry is
-# (weight, [(coeff, bonds), ...]).  Bond labels are site labels of strains
-# and are resolved modulo the period at assembly time.
+# A table is a list of density groups (weight, [(coeff, bonds), ...]); each
+# density term also carries half a pair term at its argument.  Bond labels
+# are site labels of strains and are resolved modulo the period at assembly
+# time.
 # --------------------------------------------------------------------------
 
 
 def _atom_table(l: int):
     """Exact nearest/next-nearest stencil centred at atom l."""
-    embed = [(1.0, [(1.0, [l]), (1.0, [l, l - 1]), (1.0, [l + 1]), (1.0, [l + 1, l + 2])])]
-    pairs = [
-        (HALF, [l]),
-        (HALF, [l, l - 1]),
-        (HALF, [l + 1]),
-        (HALF, [l + 1, l + 2]),
-    ]
-    return embed, pairs
+    return [(1.0, [(1.0, [l]), (1.0, [l, l - 1]), (1.0, [l + 1]), (1.0, [l + 1, l + 2])])]
 
 
 def _continuum_table(l: int):
     """Cauchy-Born stencil: local densities on the two adjacent bonds."""
-    embed = [
+    return [
         (HALF, [(2.0, [l]), (2.0, [l, l])]),
         (HALF, [(2.0, [l + 1]), (2.0, [l + 1, l + 1])]),
     ]
-    pairs = [
-        (HALF, [l]),
-        (HALF, [l, l]),
-        (HALF, [l + 1]),
-        (HALF, [l + 1, l + 1]),
+
+
+def _transition_table(l: int):
+    """Positive-side transition atom l (K+1 or K+2): a one-sided exact
+    density toward the core plus half a Cauchy-Born density one site further
+    out."""
+    return [
+        (HALF, [(2.0, [l]), (2.0, [l, l - 1])]),
+        (HALF, [(2.0, [l + 1]), (2.0, [l + 1, l + 1])]),
     ]
-    return embed, pairs
 
 
-def _transition_tables(K: int):
-    """Tables for the four transition atoms of a region with half-width K.
-
-    The positive-side atoms K+1, K+2 carry a one-sided exact density toward
-    the core plus half a Cauchy-Born density one site further out; the
-    negative side is the explicit mirror (bond b -> 1-b relative to the
-    reflected atom), keeping the total energy reflection symmetric.
-    """
-    tables = {}
-    tables[K + 1] = (
-        [
-            (HALF, [(2.0, [K + 1]), (2.0, [K + 1, K])]),
-            (HALF, [(2.0, [K + 2]), (2.0, [K + 2, K + 2])]),
-        ],
-        [
-            (HALF, [K + 1]),
-            (HALF, [K + 2]),
-            (HALF, [K + 1, K]),
-            (HALF, [K + 2, K + 2]),
-        ],
-    )
-    tables[K + 2] = (
-        [
-            (HALF, [(2.0, [K + 2]), (2.0, [K + 2, K + 1])]),
-            (HALF, [(2.0, [K + 3]), (2.0, [K + 3, K + 3])]),
-        ],
-        [
-            (HALF, [K + 2]),
-            (HALF, [K + 3]),
-            (HALF, [K + 2, K + 1]),
-            (HALF, [K + 3, K + 3]),
-        ],
-    )
-    tables[-(K + 1)] = (
-        [
-            (HALF, [(2.0, [-K]), (2.0, [-K, -K + 1])]),
-            (HALF, [(2.0, [-K - 1]), (2.0, [-K - 1, -K - 1])]),
-        ],
-        [
-            (HALF, [-K]),
-            (HALF, [-K - 1]),
-            (HALF, [-K, -K + 1]),
-            (HALF, [-K - 1, -K - 1]),
-        ],
-    )
-    tables[-(K + 2)] = (
-        [
-            (HALF, [(2.0, [-K - 1]), (2.0, [-K - 1, -K])]),
-            (HALF, [(2.0, [-K - 2]), (2.0, [-K - 2, -K - 2])]),
-        ],
-        [
-            (HALF, [-K - 1]),
-            (HALF, [-K - 2]),
-            (HALF, [-K - 1, -K]),
-            (HALF, [-K - 2, -K - 2]),
-        ],
-    )
-    return tables
+def _reflect(table):
+    """Table of the mirror atom -l: bond b -> 1-b."""
+    return [(w, [(c, [1 - b for b in bonds]) for c, bonds in terms]) for w, terms in table]
 
 
 @lru_cache(maxsize=64)
@@ -298,28 +213,27 @@ def _site_tables(kind: ModelKind, N: int, K: int):
     grid = ChainGrid(N)
     if kind == ModelKind.QNL:
         region = RegionDecomposition(N, K)
-        transition = _transition_tables(K)
 
     resolved = []
     for l in range(-N + 1, N + 1):
         if kind == ModelKind.ATOMISTIC:
-            embed, pairs = _atom_table(l)
+            table = _atom_table(l)
         elif kind == ModelKind.QCL:
-            embed, pairs = _continuum_table(l)
+            table = _continuum_table(l)
         else:
             tag = region.classify(l)
             if tag == "atomistic":
-                embed, pairs = _atom_table(l)
+                table = _atom_table(l)
             elif tag == "quasi-nonlocal":
-                embed, pairs = transition[l]
+                table = _transition_table(l) if l > 0 else _reflect(_transition_table(-l))
             else:
-                embed, pairs = _continuum_table(l)
-        embed_idx = tuple(
-            (w, tuple((c, tuple(grid.index(b) for b in bonds)) for c, bonds in terms))
-            for w, terms in embed
+                table = _continuum_table(l)
+        resolved.append(
+            tuple(
+                (w, tuple((c, tuple(grid.index(b) for b in bonds)) for c, bonds in terms))
+                for w, terms in table
+            )
         )
-        pairs_idx = tuple((w, tuple(grid.index(b) for b in bonds)) for w, bonds in pairs)
-        resolved.append((embed_idx, pairs_idx))
     return tuple(resolved)
 
 
@@ -333,23 +247,19 @@ def _tables_for(model: ModelKind, region: RegionDecomposition | None, grid: Chai
     return _site_tables(model, grid.N, -1)
 
 
+_DENSITY_TABLES = {"a": _atom_table, "c": _continuum_table, "qnl": _transition_table}
+
+
 def electron_density(p: EAMPotential, kind: str, y: Deformation, site: int) -> float:
     """Summed electron density at one atom: exact ("a"), Cauchy-Born ("c"),
-    or one-sided transition ("qnl")."""
+    or one-sided transition ("qnl"), read from the atom's first density
+    group in the matching table."""
+    if kind not in _DENSITY_TABLES:
+        raise ValueError(f"unknown density kind {kind!r}")
     r = y.strain()
-    g = y.grid
-    rl = r[g.index(site)]
-    rl_m1 = r[g.index(site - 1)]
-    rl_p1 = r[g.index(site + 1)]
-    rl_p2 = r[g.index(site + 2)]
-    rho = p.density
-    if kind == "a":
-        return rho(rl) + rho(rl + rl_m1) + rho(rl_p1) + rho(rl_p1 + rl_p2)
-    if kind == "c":
-        return 2 * rho(rl) + 2 * rho(2 * rl)
-    if kind == "qnl":
-        return 2 * rho(rl) + 2 * rho(rl + rl_m1)
-    raise ValueError(f"unknown density kind {kind!r}")
+    index = y.grid.index
+    _, terms = _DENSITY_TABLES[kind](site)[0]
+    return sum(c * p.density(sum(r[index(b)] for b in bonds)) for c, bonds in terms)
 
 
 def energy(
@@ -365,20 +275,16 @@ def energy(
     rho = p.density.eval
     G = p.embedding.eval
     total = 0.0
-    for embed, pairs in tables:
-        for w, terms in embed:
+    for groups in tables:
+        for w, terms in groups:
             dbar = 0.0
             for c, bonds in terms:
                 arg = 0.0
                 for b in bonds:
                     arg += r[b]
                 dbar += c * rho(arg)
+                total += HALF * phi(arg)
             total += w * G(dbar)
-        for w, bonds in pairs:
-            arg = 0.0
-            for b in bonds:
-                arg += r[b]
-            total += w * phi(arg)
     return y.grid.epsilon * total
 
 
@@ -389,8 +295,8 @@ def _strain_gradient(tables, r: np.ndarray, p: EAMPotential) -> np.ndarray:
     rho1 = p.density.d1
     G1 = p.embedding.d1
     g = np.zeros_like(r)
-    for embed, pairs in tables:
-        for w, terms in embed:
+    for groups in tables:
+        for w, terms in groups:
             dbar = 0.0
             contribs = []
             for c, bonds in terms:
@@ -398,18 +304,12 @@ def _strain_gradient(tables, r: np.ndarray, p: EAMPotential) -> np.ndarray:
                 for b in bonds:
                     arg += r[b]
                 dbar += c * rho(arg)
-                contribs.append((c * rho1(arg), bonds))
+                contribs.append((c * rho1(arg), HALF * phi1(arg), bonds))
             wg1 = w * G1(dbar)
-            for slope, bonds in contribs:
+            for slope, pair_slope, bonds in contribs:
+                total_slope = wg1 * slope + pair_slope
                 for b in bonds:
-                    g[b] += wg1 * slope
-        for w, bonds in pairs:
-            arg = 0.0
-            for b in bonds:
-                arg += r[b]
-            slope = w * phi1(arg)
-            for b in bonds:
-                g[b] += slope
+                    g[b] += total_slope
     return g
 
 
@@ -452,8 +352,8 @@ def _strain_hessian_bands(tables, r: np.ndarray, p: EAMPotential) -> np.ndarray:
         else:  # pragma: no cover - stencils never reach this far
             raise AssertionError("bond coupling beyond strain bandwidth")
 
-    for embed, pairs in tables:
-        for w, terms in embed:
+    for groups in tables:
+        for w, terms in groups:
             dbar = 0.0
             lin: dict[int, float] = {}
             curv = []
@@ -465,7 +365,7 @@ def _strain_hessian_bands(tables, r: np.ndarray, p: EAMPotential) -> np.ndarray:
                 slope = c * rho1(arg)
                 for b in bonds:
                     lin[b] = lin.get(b, 0.0) + slope
-                curv.append((c * rho2(arg), bonds))
+                curv.append((c * rho2(arg), HALF * phi2(arg), bonds))
             wg1 = w * G1(dbar)
             wg2 = w * G2(dbar)
             # G'' (ddbar/dr_m)(ddbar/dr_k) over unordered bond pairs
@@ -474,28 +374,17 @@ def _strain_hessian_bands(tables, r: np.ndarray, p: EAMPotential) -> np.ndarray:
                 add(m, m, wg2 * sm * sm)
                 for k, sk in items[i + 1 :]:
                     add(m, k, wg2 * sm * sk)
-            # G' * second derivative of each density argument
-            for c2, bonds in curv:
+            # G' rho'' + phi''/2: second derivative of each term in its argument
+            for c2, pair2, bonds in curv:
+                val = wg1 * c2 + pair2
                 counts: dict[int, int] = {}
                 for b in bonds:
                     counts[b] = counts.get(b, 0) + 1
                 citems = sorted(counts.items())
                 for i, (m, cm) in enumerate(citems):
-                    add(m, m, wg1 * c2 * cm * cm)
+                    add(m, m, val * cm * cm)
                     for k, ck in citems[i + 1 :]:
-                        add(m, k, wg1 * c2 * cm * ck)
-        for w, bonds in pairs:
-            arg = 0.0
-            counts = {}
-            for b in bonds:
-                arg += r[b]
-                counts[b] = counts.get(b, 0) + 1
-            wp2 = w * phi2(arg)
-            citems = sorted(counts.items())
-            for i, (m, cm) in enumerate(citems):
-                add(m, m, wp2 * cm * cm)
-                for k, ck in citems[i + 1 :]:
-                    add(m, k, wp2 * cm * ck)
+                        add(m, k, val * cm * ck)
     return q
 
 

@@ -46,11 +46,12 @@ __all__ = [
     "solve_linearized",
     "consistency_residual",
     "negative_norm",
+    "consistency_point",
     "convergence_study",
     "fixed_k_rule",
     "power_k_rule",
     "continuum_norm_sites",
-    "interface_sites",
+    "interface_window_sites",
     "fit_loglog_slope",
 ]
 
@@ -221,8 +222,10 @@ def continuum_norm_sites(region: RegionDecomposition) -> list[int]:
     return list(range(-N + 1, -K)) + list(range(K + 1, N + 1))
 
 
-def interface_sites(region: RegionDecomposition) -> list[int]:
-    """Interface diagnostic set {-(K+7)..-K} u {K..K+7}."""
+def interface_window_sites(region: RegionDecomposition) -> list[int]:
+    """Interface diagnostic window {-(K+7)..-K} u {K..K+7} (16 sites), over
+    which the consistency bound takes max |D^2 u|; wider than the four
+    transition atoms +-(K+1), +-(K+2)."""
     K = region.K
     return list(range(-(K + 7), -K + 1)) + list(range(K, K + 8))
 
@@ -242,13 +245,32 @@ def fit_loglog_slope(eps_values: Sequence[float], errors: Sequence[float]) -> fl
     return float(np.polyfit(x, y, 1)[0])
 
 
+def consistency_point(
+    region: RegionDecomposition,
+    p: EAMPotential,
+    F: float,
+    load: DeadLoad,
+) -> tuple[PeriodicField, float, float, float]:
+    """Atomistic side of one study point: (u_a, negnorm, D3_C, D2_I_max).
+
+    u_a solves the atomistic chain under ``load``; negnorm is the negative
+    norm of its consistency residual; D3_C is the l2_eps norm of D^3 u_a over
+    the continuum sites and D2_I_max the largest |D^2 u_a| over the
+    interface window, the two smoothness terms of the consistency bound.
+    """
+    u_a = solve_linearized(ModelKind.ATOMISTIC, region, p, F, load)
+    negnorm = negative_norm(consistency_residual(region, p, F, u_a))
+    d3 = norm_region(diff(u_a, 3), continuum_norm_sites(region), "l2")
+    d2max = norm_region(diff(u_a, 2), interface_window_sites(region), "max")
+    return u_a, negnorm, d3, d2max
+
+
 def convergence_study(
     p: EAMPotential,
     F: float,
     load_generator: Callable[[ChainGrid], DeadLoad],
     k_rule: Callable[[int], int],
     n_list: Sequence[int],
-    compute_lambda_min: bool = True,
 ):
     """Sweep chain sizes, solving both models and recording error and
     consistency quantities; returns (records, rates).
@@ -266,18 +288,10 @@ def convergence_study(
         grid = ChainGrid(n)
         region = RegionDecomposition(n, k_rule(n))
         load = load_generator(grid)
-        u_a = solve_linearized(ModelKind.ATOMISTIC, region, p, F, load)
+        u_a, negnorm, d3, d2max = consistency_point(region, p, F, load)
         u_qnl = solve_linearized(ModelKind.QNL, region, p, F, load)
         err = norm_l2eps(diff(u_a, 1) - diff(u_qnl, 1))
-        t_res = consistency_residual(region, p, F, u_a)
-        negnorm = negative_norm(t_res)
-        d3 = norm_region(diff(u_a, 3), continuum_norm_sites(region), "l2")
-        d2max = norm_region(diff(u_a, 2), interface_sites(region), "max")
-        lam_min = (
-            min_eig_numeric(ModelKind.QNL, region, p, F, n)[0]
-            if compute_lambda_min
-            else float("nan")
-        )
+        lam_min = min_eig_numeric(ModelKind.QNL, region, p, F, n)[0]
         runtime_ms = (time.perf_counter() - start) * 1e3
         records.append(
             ConvergenceRecord(

@@ -12,6 +12,8 @@ not translation invariant, so their smallest eigenvalue is computed as a
 dense symmetric generalized eigenproblem H u = lambda L u on the zero-mean
 subspace, with L the operator of the squared-strain metric.  A bisection on
 F locates the critical strain where the smallest eigenvalue changes sign.
+There is one evaluator per model and no strategy switch: the closed-form
+cubic for the atomistic chain, the dense eigensolve for the couplings.
 
 Numerical choices: dense eigensolves (exactness over speed at desk scale),
 zero-mean handling by deflating the constant vector from both operators
@@ -191,14 +193,6 @@ def zero_mean_basis(n: int) -> np.ndarray:
     return basis
 
 
-def _deflated_pencil(h_op: SymmetricBandedOperator, l_op: SymmetricBandedOperator):
-    n = h_op.grid.period_atoms
-    basis = zero_mean_basis(n)
-    hd = basis.T @ (h_op.to_dense() @ basis)
-    ld = basis.T @ (l_op.to_dense() @ basis)
-    return hd, ld, basis
-
-
 def min_eig_numeric(
     model: ModelKind,
     region: RegionDecomposition,
@@ -214,8 +208,9 @@ def min_eig_numeric(
     if region.N != N:
         raise ValueError(f"region size {region.N} does not match N={N}")
     h_op = hessian(model, region, p, F)
-    l_op = strain_metric_operator(h_op.grid)
-    hd, ld, basis = _deflated_pencil(h_op, l_op)
+    basis = zero_mean_basis(h_op.grid.period_atoms)
+    hd = basis.T @ (h_op.to_dense() @ basis)
+    ld = basis.T @ (strain_metric_operator(h_op.grid).to_dense() @ basis)
     try:
         vals, vecs = scipy.linalg.eigh(hd, ld, subset_by_index=[0, 0])
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - L is SPD here
@@ -227,28 +222,8 @@ def min_eig_numeric(
     return float(vals[0]), mode
 
 
-def generalized_eigenvalues(
-    model: ModelKind,
-    region: RegionDecomposition,
-    p: EAMPotential,
-    F: float,
-) -> np.ndarray:
-    """All eigenvalues of the deflated pencil, ascending."""
-    h_op = hessian(model, region, p, F)
-    l_op = strain_metric_operator(h_op.grid)
-    hd, ld, _ = _deflated_pencil(h_op, l_op)
-    try:
-        return scipy.linalg.eigh(hd, ld, eigvals_only=True)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigensolveError(
-            f"generalized eigensolve failed for {model.value} at F={F}: {exc}"
-        ) from exc
-
-
-def _lambda_min_evaluator(model: ModelKind, region: RegionDecomposition, p, N, eig):
-    if eig not in ("auto", "dense"):
-        raise ValueError(f"unknown eigenvalue strategy {eig!r}")
-    if model == ModelKind.ATOMISTIC and eig == "auto":
+def _lambda_min_evaluator(model: ModelKind, region: RegionDecomposition, p, N):
+    if model == ModelKind.ATOMISTIC:
         # The strain Fourier basis diagonalizes the atomistic operator, so
         # the cubic minimum over the discrete modes IS the smallest
         # generalized eigenvalue (cross-checked against the dense solve in
@@ -264,17 +239,18 @@ def critical_strain(
     N: int,
     bracket,
     tol: float = 1e-10,
-    eig: str = "auto",
 ) -> float:
     """Bisect the smallest stability eigenvalue to its zero crossing in F.
 
     ``bracket = (F_lo, F_hi)`` must straddle a sign change of lambda_min.
-    Deterministic: dense eigensolves, no random starting vectors.
+    The atomistic lambda_min is the minimum of the stability cubic over the
+    discrete modes; the coupled models use the dense eigensolve of
+    :func:`min_eig_numeric`.  Deterministic: no random starting vectors.
     """
     f_lo, f_hi = float(bracket[0]), float(bracket[1])
     if not 0 < f_lo < f_hi:
         raise BracketError(f"bad bracket ({f_lo}, {f_hi})")
-    lam = _lambda_min_evaluator(model, region, p, N, eig)
+    lam = _lambda_min_evaluator(model, region, p, N)
     lo_val = lam(f_lo)
     hi_val = lam(f_hi)
     if lo_val == 0.0:

@@ -36,6 +36,33 @@ def test_config_errors_carry_line_numbers(tmp_path):
     assert run_cli("--config", str(cfg_file)) == 2
 
 
+# (command, config key, malformed value); the flag is --KEY with '-' for '_'
+MALFORMED = [
+    ("critical-strain", "F_range", "1.0:abc"),
+    ("critical-strain", "F_range", "1.2:1.0"),
+    ("converge", "K_rule", "power:x"),
+    ("spectrum", "F", "nan"),
+    ("spectrum", "F", "-1"),
+    ("spectrum", "F", "inf"),
+    ("spectrum", "N", "2"),
+    ("converge", "K", "abc"),
+    ("validate", "seed", "x"),
+]
+
+
+@pytest.mark.parametrize("command,key,value", MALFORMED)
+def test_malformed_input_exits_2_naming_origin(tmp_path, capsys, command, key, value):
+    flag = "--" + key.replace("_", "-")
+    out_dir = str(tmp_path / "out")
+    assert run_cli("--command", command, "--potential", POT, flag, value, "--out-dir", out_dir) == 2
+    assert f"<flag {flag}>" in capsys.readouterr().err
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"command = {command}\npotential = {POT}\n{key} = {value}\n")
+    assert run_cli("--config", str(cfg_file), "--out-dir", out_dir) == 2
+    assert f"{cfg_file}:3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_validation_rules(tmp_path):
     cfg = ExperimentConfig(command="spectrum", potential=POT, N_values=(16, 8))
     with pytest.raises(Exception, match="increasing"):

@@ -6,13 +6,11 @@ import pytest
 from eamchain.lattice import (
     ChainGrid,
     PeriodicField,
-    UniformDeformation,
     diff,
     displacement_from_strain,
     norm_l2eps,
     norm_region,
     strain_fourier,
-    strain_from_fourier,
 )
 
 from conftest import random_displacement
@@ -27,12 +25,6 @@ def test_grid_basics():
     assert grid.index(9) == grid.index(-7)  # wraparound l + 2N <-> l
     with pytest.raises(ValueError):
         ChainGrid(3)
-
-
-def test_uniform_deformation_positive():
-    UniformDeformation(1.1)
-    with pytest.raises(ValueError):
-        UniformDeformation(0.0)
 
 
 def test_displacement_zero_mean_enforced():
@@ -143,7 +135,10 @@ def test_strain_fourier_roundtrip_and_parseval(rng):
     u = random_displacement(grid, rng, strain_scale=1.0)
     c = strain_fourier(u)
     du = diff(u, 1).values
-    np.testing.assert_allclose(strain_from_fourier(grid, c), du, atol=1e-12)
+    # inverse by the defining sum (Du)_l = sum_k c_k / sqrt(2) exp(i k l pi / N)
+    sites = grid.sites()
+    basis = np.exp(1j * np.pi * np.outer(sites, sites) / grid.N)
+    np.testing.assert_allclose(basis @ c / np.sqrt(2.0), du, atol=1e-12)
     assert np.sum(np.abs(c) ** 2) == pytest.approx(norm_l2eps(diff(u, 1)) ** 2, rel=1e-12)
 
 

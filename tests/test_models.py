@@ -92,15 +92,21 @@ def test_energy_translation_invariance(default_p, rng):
         assert np.max(np.abs(h.apply(np.ones(grid.period_atoms)))) <= 1e-9
 
 
-def test_qnl_pair_energy_split_assembly(default_p, rng):
-    # pure pair chain: coupled energy matches the hand-assembled pair terms
+@pytest.mark.parametrize("K", [4, 11, 12, 13])
+def test_qnl_pair_energy_split_assembly(default_p, rng, K):
+    # pure pair chain: coupled energy matches the hand-assembled pair terms,
+    # up to K = N-3 where the mirrored transition stencils share sites
     grid = ChainGrid(16)
-    region = RegionDecomposition(16, 4)
+    region = RegionDecomposition(16, K)
     pair_only = EAMPotential(default_p.pair, zero_function(), zero_function())
     y = Deformation(1.03, random_displacement(grid, rng))
     ours = energy(ModelKind.QNL, region, pair_only, y)
     by_hand = qnl_pair_energy_by_hand(default_p.pair.eval, region, y)
     assert ours == pytest.approx(by_hand, rel=1e-14)
+    # and the full potential has no ghost force at the uniform state
+    for F in (0.95, 1.1):
+        g = gradient(ModelKind.QNL, region, default_p, Deformation.uniform(grid, F))
+        assert np.max(np.abs(g.values)) <= 1e-12 * force_scale(default_p, F, grid)
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
@@ -196,21 +202,23 @@ def test_hessian_band_structure_and_symmetry(default_p):
                 assert dense[i, j] == 0.0
     # annihilates constants: row sums vanish relative to row magnitude
     row_mag = np.max(np.abs(dense), axis=1)
-    assert np.max(np.abs(hop.row_sums()) / row_mag) <= 1e-12
+    assert np.max(np.abs(dense.sum(axis=1)) / row_mag) <= 1e-12
 
 
 def test_hessian_translation_invariance_within_regions(default_p):
     region = RegionDecomposition(32, 6)
     hop = hessian(ModelKind.QNL, region, default_p, 1.05)
+    dense = hop.to_dense()
+    index = hop.grid.index
     # rows fully inside the atomistic core are shifts of each other
-    base = np.roll(hop.row(0), -hop.grid.index(0))
+    base = np.roll(dense[index(0)], -index(0))
     for l in (-2, -1, 1, 2):
-        shifted = np.roll(hop.row(l), -hop.grid.index(l))
+        shifted = np.roll(dense[index(l)], -index(l))
         np.testing.assert_allclose(shifted, base, atol=0.0)
     # deep continuum rows are circulant too
-    base_c = np.roll(hop.row(14), -hop.grid.index(14))
+    base_c = np.roll(dense[index(14)], -index(14))
     for l in (15, 16, -14, -15):
-        shifted = np.roll(hop.row(l), -hop.grid.index(l))
+        shifted = np.roll(dense[index(l)], -index(l))
         np.testing.assert_allclose(shifted, base_c, atol=1e-18)
 
 
@@ -222,18 +230,19 @@ def test_qnl_matches_atomistic_inside_core(default_p, rng):
     gq = gradient(ModelKind.QNL, region, default_p, y)
     for l in range(-(region.K - 3), region.K - 2):
         assert gq[l] == ga[l]  # identical table entries, bitwise
-    ha = hessian(ModelKind.ATOMISTIC, region, default_p, 1.02)
-    hq = hessian(ModelKind.QNL, region, default_p, 1.02)
+    ha = hessian(ModelKind.ATOMISTIC, region, default_p, 1.02).to_dense()
+    hq = hessian(ModelKind.QNL, region, default_p, 1.02).to_dense()
     for l in range(-(region.K - 2), region.K - 1):
-        np.testing.assert_allclose(hq.row(l), ha.row(l), atol=0.0)
+        np.testing.assert_allclose(hq[grid.index(l)], ha[grid.index(l)], atol=0.0)
 
 
 def test_qnl_matches_qcl_in_deep_continuum(default_p):
     region = RegionDecomposition(16, 0)
-    hq = hessian(ModelKind.QNL, region, default_p, 1.05)
-    hc = hessian(ModelKind.QCL, region, default_p, 1.05)
+    hq = hessian(ModelKind.QNL, region, default_p, 1.05).to_dense()
+    hc = hessian(ModelKind.QCL, region, default_p, 1.05).to_dense()
+    index = ChainGrid(16).index
     for l in list(range(6, 12)) + list(range(-11, -5)):
-        np.testing.assert_allclose(hq.row(l), hc.row(l), atol=0.0)
+        np.testing.assert_allclose(hq[index(l)], hc[index(l)], atol=0.0)
 
 
 def test_gradient_mirror_symmetry(default_p, rng):

@@ -13,7 +13,7 @@ from eamchain.solver import (
     convergence_study,
     cosine_load,
     fixed_k_rule,
-    interface_sites,
+    interface_window_sites,
     negative_norm,
     power_k_rule,
     solve_linearized,
@@ -132,7 +132,7 @@ def test_consistency_residual_support_and_scaling(default_p):
             grid, np.sin(2 * np.pi * grid.positions()) / (2 * np.pi)
         )
         t = consistency_residual(region, default_p, 1.0, u)
-        iface_band = set(interface_sites(region)) | {k - 1, -(k - 1)}
+        iface_band = set(interface_window_sites(region)) | {k - 1, -(k - 1)}
         deep_core = [l for l in range(-(k - 2), k - 1)]
         assert max(abs(t[l]) for l in deep_core) == 0.0
         nonzero = [l for l in grid.sites() if abs(t[l]) > 1e-13]
@@ -194,7 +194,7 @@ def test_error_equation_and_stability_chain(default_p):
 
 def test_convergence_study_records_and_rates(default_p):
     records, rates = convergence_study(
-        default_p, 1.0, cosine_load, fixed_k_rule(8), [32, 64, 128], compute_lambda_min=True
+        default_p, 1.0, cosine_load, fixed_k_rule(8), [32, 64, 128]
     )
     assert [r.N for r in records] == [32, 64, 128]
     for r in records:
@@ -210,7 +210,7 @@ def test_convergence_study_records_and_rates(default_p):
 def test_pair_potential_study_rate(pair_p):
     # no embedding: the coupled chain reproduces the pair-chain rate
     _, rates = convergence_study(
-        pair_p, 1.0, cosine_load, fixed_k_rule(8), [64, 128, 256, 512], compute_lambda_min=False
+        pair_p, 1.0, cosine_load, fixed_k_rule(8), [64, 128, 256, 512]
     )
     assert rates["error_slope_tail"] >= 1.4
 
@@ -223,7 +223,7 @@ def test_k_rules():
 
 def test_study_norm_quantities_match_definitions(default_p):
     records, _ = convergence_study(
-        default_p, 1.0, cosine_load, fixed_k_rule(8), [64], compute_lambda_min=False
+        default_p, 1.0, cosine_load, fixed_k_rule(8), [64]
     )
     r = records[0]
     grid = ChainGrid(64)
@@ -233,5 +233,5 @@ def test_study_norm_quantities_match_definitions(default_p):
         norm_region(diff(u_a, 3), continuum_norm_sites(region), "l2"), rel=1e-12
     )
     assert r.D2_interface_max == pytest.approx(
-        norm_region(diff(u_a, 2), interface_sites(region), "max"), rel=1e-12
+        norm_region(diff(u_a, 2), interface_window_sites(region), "max"), rel=1e-12
     )
