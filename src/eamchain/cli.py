@@ -46,9 +46,10 @@ from .solver import (
 )
 from .stability import (
     BracketError,
-    EigensolveError,
+    coefficients,
     critical_strain,
     fourier_spectrum,
+    lambda_cubic,
     min_eig_numeric,
     rayleigh_quotient,
     remark_test_functions,
@@ -156,6 +157,9 @@ def _apply_entry(cfg: ExperimentConfig, key: str, value: str, origin: str) -> No
             raise ConfigError(f"{origin}: {exc}") from exc
         cfg.K_rule = value
     elif key == "out_dir":
+        path = Path(value)
+        if any(part.exists() and not part.is_dir() for part in (path, *path.parents)):
+            raise ConfigError(f"{origin}: out_dir {value!r} is or lies under a file")
         cfg.out_dir = value
     elif key == "seed":
         cfg.seed = _parse_int(value, origin, 0)
@@ -431,9 +435,8 @@ def _run_consistency(cfg: ExperimentConfig) -> int:
 def _run_remark44(cfg: ExperimentConfig) -> int:
     p = load_potential_file(cfg.potential)
     f_val = cfg.F_values[0]
-    target = p.pair.d2(f_val) + 2 * p.embedding.d1(
-        2 * p.density(f_val) + 2 * p.density(2 * f_val)
-    ) * p.density.d2(f_val)
+    # zone-boundary value of the stability cubic: phi''(F) + 2 G'(rho_bar) rho''(F)
+    target = lambda_cubic(coefficients(p, f_val), 4.0)
     rows = []
     gaps = []
     ks = []
@@ -495,12 +498,11 @@ def main(argv=None) -> int:
             if key != "config" and value is not None:
                 _apply_entry(cfg, key, value, f"<flag --{key.replace('_', '-')}>")
         cfg.validate()
-    except ConfigError as exc:
+        return RUNNERS[cfg.command](cfg)
+    except ConfigError as exc:  # also a malformed potential file, read by the runner
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return RUNNERS[cfg.command](cfg)
-    except (NotPositiveDefiniteError, SolveError, BracketError, EigensolveError) as exc:
+    except (NotPositiveDefiniteError, SolveError, BracketError) as exc:
         print(f"numerical failure in {cfg.command!r}: {exc}", file=sys.stderr)
         return 3
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
 from .lattice import ChainGrid, PeriodicField, diff
 from .potentials import EAMPotential
@@ -162,6 +163,40 @@ class SymmetricBandedOperator:
             out[idx, (idx + j) % n] += self.bands[:, j]
             out[(idx + j) % n, idx] += self.bands[:, j]
         return out
+
+    def pinned_solver(self):
+        """Banded Cholesky solve with site 0 pinned, or None if it fails.
+
+        Ordering the other sites 1, n-1, 2, n-2, ... turns the ring into a
+        plain band of half-width 8.  Every operator here annihilates
+        constants, so by Sylvester's law of inertia the factorization fails
+        exactly when the operator is not positive definite on zero-mean
+        fields.  ``solve(b)`` returns x with x[0] = 0; for zero-mean b it
+        solves the full system up to a constant.
+        """
+        n = self.grid.period_atoms
+        sites = np.arange(n)
+        position = np.where(sites <= n // 2, 2 * sites - 2, 2 * (n - sites) - 1)
+        order = np.argsort(position[1:]) + 1
+        i, k = np.indices(self.bands.shape)
+        k = (i + k) % n
+        keep = (i != 0) & (k != 0)
+        p, q = position[i[keep]], position[k[keep]]
+        # lower band storage; add.at sums the two offset-4 entries that are
+        # one pair at N = 4, as to_dense does
+        ab = np.zeros((2 * SITE_HALF_BANDWIDTH + 1, n - 1))
+        np.add.at(ab, (np.abs(p - q), np.minimum(p, q)), self.bands[keep])
+        try:
+            factor = scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
+        except scipy.linalg.LinAlgError:
+            return None
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            x = np.zeros(n)
+            x[order] = scipy.linalg.cho_solve_banded((factor, True), b[order], check_finite=False)
+            return x
+
+        return solve
 
 
 # --------------------------------------------------------------------------

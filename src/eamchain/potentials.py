@@ -278,9 +278,12 @@ def parse_potential(text: str, origin: str = "<string>") -> EAMPotential:
         if key not in seen:
             raise ConfigError(f"{origin}: missing numeric parameter {key!r}")
         try:
-            return float(seen[key])
+            value = float(seen[key])
         except ValueError as exc:
             raise ConfigError(f"{origin}: bad number for {key!r}: {seen[key]!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"{origin}: parameter {key!r} must be finite, got {seen[key]!r}")
+        return value
 
     fam_pair = seen.get("family.pair", "zero")
     fam_density = seen.get("family.density", "zero")

@@ -15,12 +15,11 @@ sizes, records the strain error, the residual's negative norm, and the
 smoothness quantities entering the consistency bound, and fits log-log
 slopes against the lattice spacing.
 
-Solves are direct dense factorizations at desk scale with a
-symmetric-definite check; the zero-mean constraint is enforced by a
-rank-one shift along the constant vector (exact: for zero-mean data the
-shifted solve returns the zero-mean solution of the unshifted system).
-One step of iterative refinement keeps residuals at roundoff level.
-Repeated solves are bitwise identical.
+Solves are pinned-site banded Cholesky factorizations in O(N), which double
+as the definiteness check; the zero-mean solution is the pinned one with its
+mean removed.  One step of iterative refinement keeps residuals at roundoff
+level, and repeated solves are bitwise identical.  The negative norm needs
+no solve at all.
 """
 
 from __future__ import annotations
@@ -30,12 +29,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import ChainGrid, PeriodicField, diff, norm_l2eps, norm_region
 from .models import ModelKind, RegionDecomposition, hessian
 from .potentials import EAMPotential
-from .stability import coefficients, min_eig_numeric, strain_metric_operator
+from .stability import coefficients, min_eig_numeric
 
 __all__ = [
     "DeadLoad",
@@ -115,23 +113,6 @@ def cosine_load(grid: ChainGrid, frequency: int = 1, amplitude: float = 1.0) -> 
     )
 
 
-def _shifted_solve(op_dense: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """Solve op x = rhs for zero-mean rhs, deflating constants by a rank-one
-    shift; one refinement step keeps the residual at roundoff level."""
-    n = op_dense.shape[0]
-    shift = float(np.mean(np.abs(np.diag(op_dense)))) or 1.0
-    shifted = op_dense + (shift / n) * np.ones((n, n))
-    try:
-        cho = scipy.linalg.cho_factor(shifted, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"{context}: operator is not positive definite on zero-mean fields"
-        ) from exc
-    x = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-    x = x + scipy.linalg.cho_solve(cho, rhs - op_dense @ x, check_finite=False)
-    return x
-
-
 def solve_linearized(
     model: ModelKind,
     region: RegionDecomposition,
@@ -155,10 +136,19 @@ def solve_linearized(
             f"continuum modulus A_F={coeff.A:.6e} <= 0 at F={F}; "
             "the linearized problem is unstable for every coupling"
         )
-    h_dense = hessian(model, region, p, F).to_dense()
+    h_op = hessian(model, region, p, F)
+    solve = h_op.pinned_solver()
+    if solve is None:
+        raise NotPositiveDefiniteError(
+            f"{model.value} solve at F={F}, N={grid.N}: not positive definite on zero-mean fields"
+        )
     f = load.field.values
-    u = _shifted_solve(h_dense, f, f"{model.value} solve at F={F}, N={grid.N}")
-    res = float(np.linalg.norm(h_dense @ u - f))
+    u = solve(f)
+    # drop the residual's mean (row-sum roundoff), or it piles up in the pinned row
+    r = f - h_op.apply(u)
+    u = u + solve(r - r.mean())
+    u -= u.mean()
+    res = float(np.linalg.norm(h_op.apply(u) - f))
     fnorm = float(np.linalg.norm(f))
     if fnorm > 0 and res > RESIDUAL_RTOL * fnorm:
         raise SolveError(
@@ -194,12 +184,12 @@ def consistency_residual(
 def negative_norm(t: PeriodicField) -> float:
     """Dual norm sup_w <T, w> / ||Dw|| over zero-mean displacements.
 
-    Computed exactly by the Riesz representer: solve L z = T with L the
-    squared-strain metric operator and return ||Dz||.  The residual must be
-    zero-mean up to roundoff (assembled residuals carry cancellation noise
-    of order machine epsilon times their largest entry); the mean is then
-    projected out, which the dual pairing against zero-mean fields cannot
-    see anyway.
+    Summation by parts pairs the antiderivative S = eps * cumsum(T) with
+    Dw, which ranges over all zero-mean strains, so the norm is the l2_eps
+    norm of S with its mean removed ("integrate once").  The residual must
+    be zero-mean up to roundoff (assembled residuals carry cancellation
+    noise of order machine epsilon times their largest entry); the mean is
+    then projected out, which the dual pairing cannot see anyway.
     """
     vals = t.values
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
@@ -210,10 +200,7 @@ def negative_norm(t: PeriodicField) -> float:
     vals = vals - vals.mean()
     vals -= vals.mean()
     grid = t.grid
-    l_dense = strain_metric_operator(grid).to_dense()
-    z = _shifted_solve(l_dense, vals, f"metric solve at N={grid.N}")
-    z_field = PeriodicField.displacement(grid, z)
-    return norm_l2eps(diff(z_field, 1))
+    return norm_l2eps(PeriodicField.displacement(grid, grid.epsilon * np.cumsum(vals)))
 
 
 def continuum_norm_sites(region: RegionDecomposition) -> list[int]:

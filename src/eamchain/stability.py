@@ -8,26 +8,19 @@ are values of a cubic
 
 whose coefficients are closed-form combinations of the potential's
 derivatives at strains F and 2F.  The quasi-nonlocal and local couplings are
-not translation invariant, so their smallest eigenvalue is computed as a
-dense symmetric generalized eigenproblem H u = lambda L u on the zero-mean
-subspace, with L the operator of the squared-strain metric.  A bisection on
-F locates the critical strain where the smallest eigenvalue changes sign.
-There is one evaluator per model and no strategy switch: the closed-form
-cubic for the atomistic chain, the dense eigensolve for the couplings.
-
-Numerical choices: dense eigensolves (exactness over speed at desk scale),
-zero-mean handling by deflating the constant vector from both operators
-through a fixed Householder basis, so results are deterministic.
+not translation invariant.  Their smallest eigenvalue of H u = lambda L u on
+zero-mean displacements, with L the operator of the squared-strain metric,
+is the largest lambda at which H - lambda L is positive definite there,
+which the pinned-site banded Cholesky decides in O(N); lambda_min and the
+critical strain in F are both found by deterministic bisection on that test.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import ChainGrid, PeriodicField, diff, norm_l2eps
 from .models import (
@@ -42,7 +35,6 @@ __all__ = [
     "StabilityCoefficients",
     "SpectrumReport",
     "BracketError",
-    "EigensolveError",
     "coefficients",
     "lambda_cubic",
     "fourier_spectrum",
@@ -51,16 +43,11 @@ __all__ = [
     "remark_test_functions",
     "rayleigh_quotient",
     "strain_metric_operator",
-    "zero_mean_basis",
 ]
 
 
 class BracketError(ValueError):
     """Critical-strain bracket does not straddle a sign change."""
-
-
-class EigensolveError(RuntimeError):
-    """Dense generalized eigensolve failed."""
 
 
 @dataclass(frozen=True)
@@ -143,19 +130,13 @@ def lambda_cubic(c: StabilityCoefficients, s: float) -> float:
     return c.A + c.B * s + c.C * s**2 + c.D * s**3
 
 
-def mode_s_values(N: int) -> np.ndarray:
-    """s_k = 4 sin^2(k pi / 2N) for k = -N+1 .. N in site order."""
-    k = np.arange(-N + 1, N + 1)
-    return 4.0 * np.sin(k * np.pi / (2 * N)) ** 2
-
-
 def fourier_spectrum(p: EAMPotential, F: float, N: int) -> SpectrumReport:
     """Exact atomistic eigenvalues with respect to the squared-strain metric."""
     if N < 4:
         raise ValueError(f"need N >= 4, got {N}")
     c = coefficients(p, F)
     modes = np.arange(-N + 1, N + 1)
-    s = mode_s_values(N)
+    s = 4.0 * np.sin(modes * np.pi / (2 * N)) ** 2
     lam = c.A + c.B * s + c.C * s**2 + c.D * s**3
     nonzero = modes != 0
     idx = np.argmin(np.where(nonzero, lam, np.inf))
@@ -179,18 +160,13 @@ def strain_metric_operator(grid: ChainGrid) -> SymmetricBandedOperator:
     return SymmetricBandedOperator(grid, bands)
 
 
-@lru_cache(maxsize=32)
-def zero_mean_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of the zero-mean subspace as columns of an n x (n-1)
-    matrix, built from a fixed Householder reflection (deterministic)."""
-    ones = np.full(n, 1.0 / np.sqrt(n))
-    v = -ones.copy()
-    v[0] += 1.0
-    v /= np.linalg.norm(v)
-    house = np.eye(n) - 2.0 * np.outer(v, v)
-    basis = house[:, 1:].copy()
-    basis.flags.writeable = False
-    return basis
+def _bisect(inside, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve [lo, hi] until it is at most tol wide, keeping ``inside(lo)``
+    true and ``inside(hi)`` false; returns the final (lo, hi)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return lo, hi
 
 
 def min_eig_numeric(
@@ -202,34 +178,32 @@ def min_eig_numeric(
 ):
     """Smallest eigenvalue of H u = lambda L u on zero-mean displacements.
 
-    Returns (lambda_min, mode) with the mode as a displacement field.  Dense
-    solve after deflating the constant vector from both operators.
+    Returns (lambda_min, mode), the mode with unit ``||Du||``.  lambda_min
+    is bisected on definiteness of H - lambda L to ~1e-14 relative, between
+    a step doubled down until definite and the Rayleigh quotient of a
+    fixed-seed start vector; one inverse-iteration step from that vector,
+    with the factor at the definite end, gives the mode.
     """
     if region.N != N:
         raise ValueError(f"region size {region.N} does not match N={N}")
-    h_op = hessian(model, region, p, F)
-    basis = zero_mean_basis(h_op.grid.period_atoms)
-    hd = basis.T @ (h_op.to_dense() @ basis)
-    ld = basis.T @ (strain_metric_operator(h_op.grid).to_dense() @ basis)
-    try:
-        vals, vecs = scipy.linalg.eigh(hd, ld, subset_by_index=[0, 0])
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - L is SPD here
-        raise EigensolveError(
-            f"generalized eigensolve failed for {model.value} at F={F}, N={N}: {exc}"
-        ) from exc
-    mode_vals = basis @ vecs[:, 0]
-    mode = PeriodicField.displacement(h_op.grid, mode_vals)
-    return float(vals[0]), mode
+    grid = ChainGrid(N)
+    h_op, l_op = hessian(model, region, p, F), strain_metric_operator(grid)
 
+    def shifted_solver(lam: float):
+        return SymmetricBandedOperator(grid, h_op.bands - lam * l_op.bands).pinned_solver()
 
-def _lambda_min_evaluator(model: ModelKind, region: RegionDecomposition, p, N):
-    if model == ModelKind.ATOMISTIC:
-        # The strain Fourier basis diagonalizes the atomistic operator, so
-        # the cubic minimum over the discrete modes IS the smallest
-        # generalized eigenvalue (cross-checked against the dense solve in
-        # the test suite).
-        return lambda F: fourier_spectrum(p, F, N).min_eigenvalue
-    return lambda F: min_eig_numeric(model, region, p, F, N)[0]
+    start = np.random.default_rng(0).standard_normal(grid.period_atoms)
+    start -= start.mean()
+    l_start = l_op.apply(start)
+    hi = float(np.dot(start, h_op.apply(start)) / np.dot(start, l_start))
+    step = max(1.0, abs(hi))
+    while shifted_solver(hi - step) is None:
+        step *= 2.0
+    lo = hi - step
+    tol = 1e-14 * max(1.0, abs(lo), abs(hi))
+    lo, hi = _bisect(lambda lam: shifted_solver(lam) is not None, lo, hi, tol)
+    mode = PeriodicField.displacement(grid, shifted_solver(lo)(l_start))
+    return 0.5 * (lo + hi), mode * (1.0 / norm_l2eps(diff(mode, 1)))
 
 
 def critical_strain(
@@ -240,37 +214,26 @@ def critical_strain(
     bracket,
     tol: float = 1e-10,
 ) -> float:
-    """Bisect the smallest stability eigenvalue to its zero crossing in F.
+    """Bisect F to the strain where the chain stops being stable.
 
-    ``bracket = (F_lo, F_hi)`` must straddle a sign change of lambda_min.
-    The atomistic lambda_min is the minimum of the stability cubic over the
-    discrete modes; the coupled models use the dense eigensolve of
-    :func:`min_eig_numeric`.  Deterministic: no random starting vectors.
+    ``bracket = (F_lo, F_hi)`` must hold a stable and an unstable end.  The
+    atomistic chain is stable when the minimum of the stability cubic over
+    the discrete modes is positive; a coupled model is stable when its
+    Hessian is positive definite on zero-mean fields, which is whether its
+    pinned banded Cholesky succeeds.  Deterministic.
     """
     f_lo, f_hi = float(bracket[0]), float(bracket[1])
     if not 0 < f_lo < f_hi:
         raise BracketError(f"bad bracket ({f_lo}, {f_hi})")
-    lam = _lambda_min_evaluator(model, region, p, N)
-    lo_val = lam(f_lo)
-    hi_val = lam(f_hi)
-    if lo_val == 0.0:
-        return f_lo
-    if hi_val == 0.0:
-        return f_hi
-    if np.sign(lo_val) == np.sign(hi_val):
-        raise BracketError(
-            f"lambda_min({f_lo})={lo_val:.6e} and lambda_min({f_hi})={hi_val:.6e} "
-            "have the same sign"
-        )
-    while f_hi - f_lo > tol:
-        mid = 0.5 * (f_lo + f_hi)
-        mid_val = lam(mid)
-        if mid_val == 0.0:
-            return mid
-        if np.sign(mid_val) == np.sign(lo_val):
-            f_lo, lo_val = mid, mid_val
-        else:
-            f_hi, hi_val = mid, mid_val
+    if model == ModelKind.ATOMISTIC:
+        stable = lambda F: fourier_spectrum(p, F, N).min_eigenvalue > 0  # noqa: E731
+    else:
+        stable = lambda F: hessian(model, region, p, F).pinned_solver() is not None  # noqa: E731
+    lo_stable = stable(f_lo)
+    if stable(f_hi) == lo_stable:
+        state = "stable" if lo_stable else "unstable"
+        raise BracketError(f"{model.value} chain is {state} at both F={f_lo} and F={f_hi}")
+    f_lo, f_hi = _bisect(lambda F: stable(F) == lo_stable, f_lo, f_hi, tol)
     return 0.5 * (f_lo + f_hi)
 
 

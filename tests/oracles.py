@@ -6,12 +6,25 @@ summations, hand-assembled coupled pair energies, and dense linear algebra
 on explicitly built matrices.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.linalg
 
 from eamchain.lattice import PeriodicField
 from eamchain.models import Deformation, RegionDecomposition, energy
-from eamchain.stability import zero_mean_basis
+
+
+@lru_cache(maxsize=32)
+def zero_mean_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the zero-mean subspace as the columns of an
+    n x (n-1) matrix: the last columns of the fixed Householder reflection
+    that maps e_0 to the unit constant vector (deterministic)."""
+    v = np.full(n, -1.0 / np.sqrt(n))
+    v[0] += 1.0
+    basis = (np.eye(n) - 2.0 * np.outer(v, v) / np.dot(v, v))[:, 1:]
+    basis.flags.writeable = False
+    return basis
 
 
 def fd_directional_derivative(model, region, p, F, u, w, h=1e-5):

@@ -203,3 +203,28 @@ def test_csv_floats_high_precision(tmp_path):
     line = (tmp_path / "spectrum_F1_N8.csv").read_text().splitlines()[1]
     mantissa = line.split(",")[2].split("e")[0]
     assert len(mantissa.replace("-", "").replace(".", "")) >= 12
+
+
+def test_out_dir_naming_a_file_exits_2(tmp_path, capsys):
+    existing = tmp_path / "taken.txt"
+    existing.write_text("not a directory\n")
+    for out_dir in (existing, existing / "sub"):
+        args = ("--command", "spectrum", "--potential", POT, "--N", "8")
+        assert run_cli(*args, "--out-dir", str(out_dir)) == 2
+        assert "<flag --out-dir>" in capsys.readouterr().err
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"command = spectrum\npotential = {POT}\nout_dir = {out_dir}\n")
+        assert run_cli("--config", str(cfg_file)) == 2
+        assert f"{cfg_file}:3" in capsys.readouterr().err
+    assert existing.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command,value", [("spectrum", "nan"), ("critical-strain", "inf")])
+def test_non_finite_potential_parameter_exits_2(tmp_path, capsys, command, value):
+    pot = tmp_path / "bad.pot"
+    pot.write_text(open(POT).read().replace("alpha = 4.0", f"alpha = {value}"))
+    out_dir = tmp_path / "out"
+    args = ["--command", command, "--potential", str(pot), "--N", "8", "--K", "2"]
+    assert run_cli(*args, "--F-range", "1.0:1.15", "--out-dir", str(out_dir)) == 2
+    assert f"{pot}: parameter 'alpha' must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()

@@ -137,3 +137,15 @@ def test_quadratic_embedding_shape():
     g = quadratic_embedding(0.05, 0.5)
     # G' < 0 below the minimum at c1/c0, matching the tensile-strain regime
     assert g.d1(2.0) < 0 and g.d2(123.0) == 0.05
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta", "c0", "c1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_parse_rejects_non_finite_parameters(key, value):
+    params = {"alpha": "4", "beta": "3", "c0": "0.05", "c1": "0.5"} | {key: value}
+    text = (
+        "family.pair = morse\nfamily.density = expdecay\nfamily.embedding = quadratic\n"
+        + "".join(f"{k} = {v}\n" for k, v in params.items())
+    )
+    with pytest.raises(ConfigError, match=rf"demo.pot: parameter '{key}' must be finite"):
+        parse_potential(text, origin="demo.pot")

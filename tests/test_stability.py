@@ -6,7 +6,7 @@ import scipy.optimize
 
 from eamchain.lattice import ChainGrid, diff, norm_l2eps
 from eamchain.models import ModelKind, RegionDecomposition, hessian
-from eamchain.potentials import EAMPotential, ScalarFunctionC2, zero_function
+from eamchain.potentials import EAMPotential, ScalarFunctionC2, shipped_potential, zero_function
 from eamchain.stability import (
     BracketError,
     coefficients,
@@ -327,3 +327,13 @@ def test_truncated_mode_quotient_decays_like_one_over_k(reversal_p):
         ks.append(k)
     exponent = loglog_slope([1.0 / k for k in ks], gaps)
     assert exponent == pytest.approx(1.0, abs=0.3)
+
+
+@pytest.mark.parametrize("name", ["default-eam", "reversal-eam", "pair-morse"])
+@pytest.mark.parametrize("F", [0.95, 1.0, 1.05, 1.1])
+def test_zone_boundary_cubic_value_is_oscillatory_curvature(name, F):
+    # lambda_F(4) = phi''(F) + 2 G'(rho_bar) rho''(F), the remark 4.4 target
+    p = shipped_potential(name)
+    dbar = 2 * p.density(F) + 2 * p.density(2 * F)
+    target = p.pair.d2(F) + 2 * p.embedding.d1(dbar) * p.density.d2(F)
+    assert lambda_cubic(coefficients(p, F), 4.0) == pytest.approx(target, rel=1e-14)
