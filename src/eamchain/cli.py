@@ -169,7 +169,10 @@ def _apply_entry(cfg: ExperimentConfig, key: str, value: str, origin: str) -> No
 
 def load_config(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     for lineno, key, value in parse_kv_lines(text, origin=str(path)):
         _apply_entry(cfg, key, value, f"{path}:{lineno}")
     return cfg

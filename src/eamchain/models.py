@@ -8,8 +8,7 @@ pair neighbour of an atom is one of its density neighbours, at the same
 argument.  A bond list ``[l]`` means the nearest-neighbor argument ``r_l``;
 ``[l, l-1]`` means the next-nearest argument ``r_l + r_{l-1}``; the doubled
 list ``[l, l]`` encodes the locally uniform next-nearest argument ``2 r_l``.
-Energies, gradients, and Hessians all come from one chain-rule pass over
-these term tables, so the three couplings differ only in their tables:
+The three couplings differ only in their tables:
 
 * atomistic: every atom carries the full nearest/next-nearest stencil;
 * local (QCL): every atom carries the locally uniform Cauchy-Born stencil,
@@ -21,18 +20,26 @@ these term tables, so the three couplings differ only in their tables:
   negative side is their reflection (site l -> -l, bond b -> 1-b), the only
   completion consistent with a symmetric energy.
 
+Each region class has one constant template, its table with bonds relative
+to the atom.  For one ``(model, N, K)`` the templates are compiled once into
+flat arrays: a weight per group and, per term, its group, coefficient and
+two bond indices.  Energies and gradients are then one chain-rule pass of
+gathers and ``np.bincount`` over all terms, and the Hessian bands one
+vectorized update per template slot pair; no loop visits single atoms.
+
 Conventions: the model energy is the interaction energy per period (dead
 loads are handled in :mod:`eamchain.solver`).  Gradients g satisfy
 ``dE(y)[w] = eps * sum_l g_l w_l`` (the l2_eps pairing), and Hessians H at
 the uniform state satisfy ``d2E(y_F)[u, w] = eps * sum_l (Hu)_l w_l``.
-Assembly is deterministic: band entries accumulate per atom in site order.
+Assembly is deterministic: the arrays and the order of every sum are fixed
+by ``(model, N, K)``, so repeated evaluations are bitwise identical.
 """
-
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -154,6 +161,11 @@ class SymmetricBandedOperator:
         """<Hu, u> in the l2_eps pairing."""
         return float(self.grid.epsilon * np.dot(u.values, self.apply(u.values)))
 
+    def norm_inf(self) -> float:
+        """Infinity norm: the largest absolute row sum."""
+        magnitude = SymmetricBandedOperator(self.grid, np.abs(self.bands))
+        return float(np.max(magnitude.apply(np.ones(self.grid.period_atoms))))
+
     def to_dense(self) -> np.ndarray:
         n = self.grid.period_atoms
         idx = np.arange(n)
@@ -200,79 +212,91 @@ class SymmetricBandedOperator:
 
 
 # --------------------------------------------------------------------------
-# Per-atom term tables.
+# Term tables.
 #
-# A table is a list of density groups (weight, [(coeff, bonds), ...]); each
-# density term also carries half a pair term at its argument.  Bond labels
-# are site labels of strains and are resolved modulo the period at assembly
-# time.
+# A template is the table of one region class relative to its atom l: density
+# groups (weight, [(coeff, offsets), ...]), where offsets are the bond labels
+# minus l.  Each density term also carries half a pair term at its argument.
 # --------------------------------------------------------------------------
 
-
-def _atom_table(l: int):
-    """Exact nearest/next-nearest stencil centred at atom l."""
-    return [(1.0, [(1.0, [l]), (1.0, [l, l - 1]), (1.0, [l + 1]), (1.0, [l + 1, l + 2])])]
-
-
-def _continuum_table(l: int):
-    """Cauchy-Born stencil: local densities on the two adjacent bonds."""
-    return [
-        (HALF, [(2.0, [l]), (2.0, [l, l])]),
-        (HALF, [(2.0, [l + 1]), (2.0, [l + 1, l + 1])]),
-    ]
+#: Exact nearest/next-nearest stencil centred at atom l.
+_ATOM = ((1.0, ((1.0, (0,)), (1.0, (0, -1)), (1.0, (1,)), (1.0, (1, 2)))),)
+#: Cauchy-Born stencil: local densities on the two adjacent bonds.
+_CONTINUUM = ((HALF, ((2.0, (0,)), (2.0, (0, 0)))), (HALF, ((2.0, (1,)), (2.0, (1, 1)))))
+#: Positive-side transition atom l (K+1 or K+2): a one-sided exact density
+#: toward the core plus half a Cauchy-Born density one site further out.
+_TRANSITION = ((HALF, ((2.0, (0,)), (2.0, (0, -1)))), (HALF, ((2.0, (1,)), (2.0, (1, 1)))))
 
 
-def _transition_table(l: int):
-    """Positive-side transition atom l (K+1 or K+2): a one-sided exact
-    density toward the core plus half a Cauchy-Born density one site further
-    out."""
-    return [
-        (HALF, [(2.0, [l]), (2.0, [l, l - 1])]),
-        (HALF, [(2.0, [l + 1]), (2.0, [l + 1, l + 1])]),
-    ]
+def _reflect(template):
+    """Template of the mirror atom -l: offset o -> 1-o."""
+    return tuple(
+        (w, tuple((c, tuple(1 - o for o in offsets)) for c, offsets in terms))
+        for w, terms in template
+    )
 
 
-def _reflect(table):
-    """Table of the mirror atom -l: bond b -> 1-b."""
-    return [(w, [(c, [1 - b for b in bonds]) for c, bonds in terms]) for w, terms in table]
+class _Table(NamedTuple):
+    """One model's term table on one grid, flattened.
+
+    Groups and terms are laid out block by block, then slot by slot, then
+    site by site, so the terms of one template slot are a contiguous slice.
+    ``b1`` of a nearest-neighbour term is the sentinel index n, which reads
+    an appended zero strain.  ``blocks`` holds (template, sites, first group,
+    first term) per region class.
+    """
+
+    weight: np.ndarray
+    group: np.ndarray
+    coeff: np.ndarray
+    b0: np.ndarray
+    b1: np.ndarray
+    blocks: tuple
 
 
 @lru_cache(maxsize=64)
-def _site_tables(kind: ModelKind, N: int, K: int):
-    """Resolved per-site term tables for one model on one grid.
+def _site_tables(kind: ModelKind, N: int, K: int) -> _Table:
+    """Term table of one model on one grid.  QCL ignores K (own
+    all-continuum table, never a degenerate QNL region)."""
+    n = 2 * N
+    l = np.arange(-N + 1, N + 1)
+    if kind == ModelKind.ATOMISTIC:
+        classes = [(_ATOM, np.ones(n, bool))]
+    elif kind == ModelKind.QCL:
+        classes = [(_CONTINUUM, np.ones(n, bool))]
+    else:
+        core = np.abs(l) <= K
+        outer = (l == K + 1) | (l == K + 2)
+        inner = (l == -K - 1) | (l == -K - 2)
+        classes = [
+            (_ATOM, core),
+            (_TRANSITION, outer),
+            (_reflect(_TRANSITION), inner),
+            (_CONTINUUM, ~(core | outer | inner)),
+        ]
+    weight, group, coeff, b0, b1, blocks = [], [], [], [], [], []
+    n_groups = n_terms = 0
+    for template, mask in classes:
+        sites = np.flatnonzero(mask)
+        sites.flags.writeable = False
+        m = len(sites)
+        blocks.append((template, sites, n_groups, n_terms))
+        for w, terms in template:
+            weight.append(np.full(m, w))
+            for c, offsets in terms:
+                group.append(np.arange(n_groups, n_groups + m))
+                coeff.append(np.full(m, c))
+                b0.append((sites + offsets[0]) % n)
+                b1.append((sites + offsets[1]) % n if len(offsets) == 2 else np.full(m, n))
+                n_terms += m
+            n_groups += m
+    arrays = [np.concatenate(a) for a in (weight, group, coeff, b0, b1)]
+    for a in arrays:
+        a.flags.writeable = False
+    return _Table(*arrays, tuple(blocks))
 
-    Bond labels are mapped to array indices here so the evaluation loops
-    need no further wrapping.  QCL ignores K (own all-continuum loop, never
-    a degenerate QNL region).
-    """
-    grid = ChainGrid(N)
-    if kind == ModelKind.QNL:
-        region = RegionDecomposition(N, K)
 
-    resolved = []
-    for l in range(-N + 1, N + 1):
-        if kind == ModelKind.ATOMISTIC:
-            table = _atom_table(l)
-        elif kind == ModelKind.QCL:
-            table = _continuum_table(l)
-        else:
-            tag = region.classify(l)
-            if tag == "atomistic":
-                table = _atom_table(l)
-            elif tag == "quasi-nonlocal":
-                table = _transition_table(l) if l > 0 else _reflect(_transition_table(-l))
-            else:
-                table = _continuum_table(l)
-        resolved.append(
-            tuple(
-                (w, tuple((c, tuple(grid.index(b) for b in bonds)) for c, bonds in terms))
-                for w, terms in table
-            )
-        )
-    return tuple(resolved)
-
-
-def _tables_for(model: ModelKind, region: RegionDecomposition | None, grid: ChainGrid):
+def _tables_for(model: ModelKind, region: RegionDecomposition | None, grid: ChainGrid) -> _Table:
     if model == ModelKind.QNL:
         if region is None:
             raise ValueError("QNL model needs a region decomposition")
@@ -282,19 +306,33 @@ def _tables_for(model: ModelKind, region: RegionDecomposition | None, grid: Chai
     return _site_tables(model, grid.N, -1)
 
 
-_DENSITY_TABLES = {"a": _atom_table, "c": _continuum_table, "qnl": _transition_table}
+def _on(fn, x: np.ndarray) -> np.ndarray:
+    """fn applied elementwise to x; a constant result is broadcast to x."""
+    return np.broadcast_to(fn(x), x.shape)
+
+
+def _densities(table: _Table, r: np.ndarray, p: EAMPotential):
+    """Term arguments r[b0] + r[b1] and summed group densities."""
+    padded = np.append(r, 0.0)
+    arg = padded[table.b0]
+    arg += padded[table.b1]
+    dbar = np.bincount(table.group, table.coeff * _on(p.density.eval, arg), len(table.weight))
+    return arg, dbar
+
+
+_DENSITY_TEMPLATES = {"a": _ATOM, "c": _CONTINUUM, "qnl": _TRANSITION}
 
 
 def electron_density(p: EAMPotential, kind: str, y: Deformation, site: int) -> float:
     """Summed electron density at one atom: exact ("a"), Cauchy-Born ("c"),
-    or one-sided transition ("qnl"), read from the atom's first density
-    group in the matching table."""
-    if kind not in _DENSITY_TABLES:
+    or one-sided transition ("qnl"), read from the first density group of
+    the matching template."""
+    if kind not in _DENSITY_TEMPLATES:
         raise ValueError(f"unknown density kind {kind!r}")
     r = y.strain()
     index = y.grid.index
-    _, terms = _DENSITY_TABLES[kind](site)[0]
-    return sum(c * p.density(sum(r[index(b)] for b in bonds)) for c, bonds in terms)
+    _, terms = _DENSITY_TEMPLATES[kind][0]
+    return float(sum(c * p.density(sum(r[index(site + o)] for o in offsets)) for c, offsets in terms))
 
 
 def energy(
@@ -304,48 +342,23 @@ def energy(
     y: Deformation,
 ) -> float:
     """Interaction energy per period (external loads excluded)."""
-    tables = _tables_for(model, region, y.grid)
-    r = y.strain()
-    phi = p.pair.eval
-    rho = p.density.eval
-    G = p.embedding.eval
-    total = 0.0
-    for groups in tables:
-        for w, terms in groups:
-            dbar = 0.0
-            for c, bonds in terms:
-                arg = 0.0
-                for b in bonds:
-                    arg += r[b]
-                dbar += c * rho(arg)
-                total += HALF * phi(arg)
-            total += w * G(dbar)
-    return y.grid.epsilon * total
+    table = _tables_for(model, region, y.grid)
+    arg, dbar = _densities(table, y.strain(), p)
+    total = np.sum(_on(p.pair.eval, arg)) * HALF + np.dot(table.weight, _on(p.embedding.eval, dbar))
+    return float(y.grid.epsilon * total)
 
 
-def _strain_gradient(tables, r: np.ndarray, p: EAMPotential) -> np.ndarray:
+def _strain_gradient(table: _Table, r: np.ndarray, p: EAMPotential) -> np.ndarray:
     """Per-bond derivative of the per-period energy sum (no eps factor)."""
-    phi1 = p.pair.d1
-    rho = p.density.eval
-    rho1 = p.density.d1
-    G1 = p.embedding.d1
-    g = np.zeros_like(r)
-    for groups in tables:
-        for w, terms in groups:
-            dbar = 0.0
-            contribs = []
-            for c, bonds in terms:
-                arg = 0.0
-                for b in bonds:
-                    arg += r[b]
-                dbar += c * rho(arg)
-                contribs.append((c * rho1(arg), HALF * phi1(arg), bonds))
-            wg1 = w * G1(dbar)
-            for slope, pair_slope, bonds in contribs:
-                total_slope = wg1 * slope + pair_slope
-                for b in bonds:
-                    g[b] += total_slope
-    return g
+    n = len(r)
+    arg, dbar = _densities(table, r, p)
+    slope = (table.weight * _on(p.embedding.d1, dbar))[table.group]
+    slope *= table.coeff
+    slope *= _on(p.density.d1, arg)
+    slope += HALF * _on(p.pair.d1, arg)
+    g = np.bincount(table.b0, slope, n + 1)
+    g += np.bincount(table.b1, slope, n + 1)
+    return g[:n]
 
 
 def gradient(
@@ -360,81 +373,73 @@ def gradient(
     and at the uniform state the QNL residual vanishes identically: the
     transition tables are built exactly so no ghost force appears.
     """
-    tables = _tables_for(model, region, y.grid)
+    table = _tables_for(model, region, y.grid)
     r = y.strain()
-    gs = _strain_gradient(tables, r, p)
+    gs = _strain_gradient(table, r, p)
     g = (gs - np.roll(gs, -1)) / y.grid.epsilon
     return PeriodicField(y.grid, g, "residual")
 
 
-def _strain_hessian_bands(tables, r: np.ndarray, p: EAMPotential) -> np.ndarray:
-    """Strain-space Hessian of the per-period sum, upper bands 0..3."""
+def _pairs(x: dict) -> list:
+    """Unordered pairs (a, x_a, b, x_b) with a <= b of a dict offset -> x."""
+    items = sorted(x.items())
+    return [(a, xa, b, xb) for i, (a, xa) in enumerate(items) for b, xb in items[i:]]
+
+
+def _strain_hessian_bands(table: _Table, r: np.ndarray, p: EAMPotential) -> np.ndarray:
+    """Strain-space Hessian of the per-period sum, upper bands 0..3.
+
+    One pass per template slot pair, vectorized over the template's sites:
+    G'' (ddbar/dr_a)(ddbar/dr_b) per pair of bonds of a group, and
+    G' rho'' + phi''/2 per pair of bonds of a term.  Offsets within a
+    template span at most 3, so the pair (a <= b) lands in band b - a.
+    """
     n = len(r)
-    phi2 = p.pair.d2
-    rho = p.density.eval
-    rho1 = p.density.d1
-    rho2 = p.density.d2
-    G1 = p.embedding.d1
-    G2 = p.embedding.d2
-    q = np.zeros((n, STRAIN_HALF_BANDWIDTH + 1))
+    arg, dbar = _densities(table, r, p)
+    wg1 = table.weight * _on(p.embedding.d1, dbar)
+    wg2 = table.weight * _on(p.embedding.d2, dbar)
+    slope = table.coeff * _on(p.density.d1, arg)
+    curv = wg1[table.group] * (table.coeff * _on(p.density.d2, arg)) + HALF * _on(p.pair.d2, arg)
+    bands = np.zeros((STRAIN_HALF_BANDWIDTH + 1, n))  # bands[d, k] = Q[k, k + d]
+    for template, sites, g, t in table.blocks:
+        m = len(sites)
+        rows: dict[int, np.ndarray] = {}
 
-    def add(m: int, k: int, val: float) -> None:
-        d = (k - m) % n
-        if d <= STRAIN_HALF_BANDWIDTH:
-            q[m, d] += val
-        elif n - d <= STRAIN_HALF_BANDWIDTH:
-            q[k, n - d] += val
-        else:  # pragma: no cover - stencils never reach this far
-            raise AssertionError("bond coupling beyond strain bandwidth")
+        def add(a: int, b: int, val: np.ndarray) -> None:
+            if a not in rows:
+                rows[a] = (sites + a) % n
+            # the sites of a block are distinct, so one indexed add
+            bands[b - a, rows[a]] += val
 
-    for groups in tables:
-        for w, terms in groups:
-            dbar = 0.0
-            lin: dict[int, float] = {}
-            curv = []
-            for c, bonds in terms:
-                arg = 0.0
-                for b in bonds:
-                    arg += r[b]
-                dbar += c * rho(arg)
-                slope = c * rho1(arg)
-                for b in bonds:
-                    lin[b] = lin.get(b, 0.0) + slope
-                curv.append((c * rho2(arg), HALF * phi2(arg), bonds))
-            wg1 = w * G1(dbar)
-            wg2 = w * G2(dbar)
-            # G'' (ddbar/dr_m)(ddbar/dr_k) over unordered bond pairs
-            items = sorted(lin.items())
-            for i, (m, sm) in enumerate(items):
-                add(m, m, wg2 * sm * sm)
-                for k, sk in items[i + 1 :]:
-                    add(m, k, wg2 * sm * sk)
-            # G' rho'' + phi''/2: second derivative of each term in its argument
-            for c2, pair2, bonds in curv:
-                val = wg1 * c2 + pair2
+        for _, terms in template:
+            lin: dict[int, np.ndarray] = {}
+            for _, offsets in terms:
                 counts: dict[int, int] = {}
-                for b in bonds:
-                    counts[b] = counts.get(b, 0) + 1
-                citems = sorted(counts.items())
-                for i, (m, cm) in enumerate(citems):
-                    add(m, m, val * cm * cm)
-                    for k, ck in citems[i + 1 :]:
-                        add(m, k, val * cm * ck)
-    return q
+                for o in offsets:
+                    lin[o] = lin.get(o, 0.0) + slope[t : t + m]
+                    counts[o] = counts.get(o, 0) + 1
+                for a, ca, b, cb in _pairs(counts):
+                    add(a, b, curv[t : t + m] * ca * cb)
+                t += m
+            for a, sa, b, sb in _pairs(lin):
+                add(a, b, wg2[g : g + m] * sa * sb)
+            g += m
+    return bands.T
 
 
 def _site_bands_from_strain_bands(grid: ChainGrid, q: np.ndarray) -> np.ndarray:
     """Convert a strain-space band matrix Q into site space: H = D^T Q D."""
     n = grid.period_atoms
     eps2 = grid.epsilon**2
+    w = STRAIN_HALF_BANDWIDTH
+    padded = np.concatenate([q[-w:], q, q[: w + 1]])  # row k holds q[(k - w) % n]
 
     def qoff(shift: int, d: int) -> np.ndarray:
         # Q[m+shift, m+shift+d] as a vector over m, allowing negative d.
-        if d < 0:
-            return np.roll(q[:, -d], -(shift + d)) if -d <= STRAIN_HALF_BANDWIDTH else 0.0
-        if d > STRAIN_HALF_BANDWIDTH:
-            return np.zeros(n)
-        return np.roll(q[:, d], -shift)
+        if abs(d) > w:
+            return 0.0
+        start = w + shift + min(d, 0)
+        return padded[start : start + n, abs(d)]
 
     bands = np.zeros((n, SITE_HALF_BANDWIDTH + 1))
     for j in range(SITE_HALF_BANDWIDTH + 1):

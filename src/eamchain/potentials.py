@@ -72,7 +72,14 @@ STABLE_RANGES = {
 
 @dataclass(frozen=True)
 class ScalarFunctionC2:
-    """A scalar function with analytic first and second derivatives."""
+    """A scalar function with analytic first and second derivatives.
+
+    ``eval``, ``d1`` and ``d2`` act elementwise: given a float they return
+    a float, given an array they return an array of its shape.  The model
+    evaluators call them once per term table on arrays of arguments, and
+    broadcast a result that does not depend on the argument (such as
+    ``lambda d: 1.0``) to the argument's shape.
+    """
 
     eval: Callable[[float], float]
     d1: Callable[[float], float]
@@ -112,15 +119,15 @@ def morse_pair(alpha: float) -> ScalarFunctionC2:
     """Morse pair interaction with well at r = 1 and stiffness alpha."""
 
     def f(r: float) -> float:
-        return math.exp(-2 * alpha * (r - 1)) - 2 * math.exp(-alpha * (r - 1))
+        return np.exp(-2 * alpha * (r - 1)) - 2 * np.exp(-alpha * (r - 1))
 
     def f1(r: float) -> float:
-        return -2 * alpha * math.exp(-2 * alpha * (r - 1)) + 2 * alpha * math.exp(
+        return -2 * alpha * np.exp(-2 * alpha * (r - 1)) + 2 * alpha * np.exp(
             -alpha * (r - 1)
         )
 
     def f2(r: float) -> float:
-        return 4 * alpha**2 * math.exp(-2 * alpha * (r - 1)) - 2 * alpha**2 * math.exp(
+        return 4 * alpha**2 * np.exp(-2 * alpha * (r - 1)) - 2 * alpha**2 * np.exp(
             -alpha * (r - 1)
         )
 
@@ -131,13 +138,13 @@ def expdecay_density(beta: float) -> ScalarFunctionC2:
     """Exponentially decaying electron density, normalized to 1 at r = 1."""
 
     def f(r: float) -> float:
-        return math.exp(-beta * (r - 1))
+        return np.exp(-beta * (r - 1))
 
     def f1(r: float) -> float:
-        return -beta * math.exp(-beta * (r - 1))
+        return -beta * np.exp(-beta * (r - 1))
 
     def f2(r: float) -> float:
-        return beta**2 * math.exp(-beta * (r - 1))
+        return beta**2 * np.exp(-beta * (r - 1))
 
     return ScalarFunctionC2(f, f1, f2, f"expdecay(beta={beta:g})")
 
@@ -152,14 +159,14 @@ def quadratic_embedding(c0: float, c1: float) -> ScalarFunctionC2:
         return c0 * d - c1
 
     def f2(d: float) -> float:
-        return c0
+        return np.full_like(d, c0, dtype=float)[()]
 
     return ScalarFunctionC2(f, f1, f2, f"quadratic(c0={c0:g}, c1={c1:g})")
 
 
 def zero_function() -> ScalarFunctionC2:
     """Identically zero member (e.g. no embedding term)."""
-    zero = lambda r: 0.0  # noqa: E731
+    zero = lambda r: np.zeros_like(r, dtype=float)[()]  # noqa: E731
     return ScalarFunctionC2(zero, zero, zero, "zero")
 
 

@@ -11,8 +11,184 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from eamchain.lattice import PeriodicField
-from eamchain.models import Deformation, RegionDecomposition, energy
+from eamchain.lattice import ChainGrid, PeriodicField
+from eamchain.models import Deformation, ModelKind, RegionDecomposition, energy
+
+HALF = 0.5
+STRAIN_HALF_BANDWIDTH = 3
+
+
+# --------------------------------------------------------------------------
+# Loop oracle of the term-table evaluators: per-site tuple tables and one
+# chain-rule loop per quantity, visiting every term of every atom in site
+# order.  A table is a list of density groups (weight, [(coeff, bonds), ...]);
+# each density term also carries half a pair term at its argument.  Bond
+# labels are site labels of strains.
+# --------------------------------------------------------------------------
+
+
+def _atom_table(l: int):
+    """Exact nearest/next-nearest stencil centred at atom l."""
+    return [(1.0, [(1.0, [l]), (1.0, [l, l - 1]), (1.0, [l + 1]), (1.0, [l + 1, l + 2])])]
+
+
+def _continuum_table(l: int):
+    """Cauchy-Born stencil: local densities on the two adjacent bonds."""
+    return [
+        (HALF, [(2.0, [l]), (2.0, [l, l])]),
+        (HALF, [(2.0, [l + 1]), (2.0, [l + 1, l + 1])]),
+    ]
+
+
+def _transition_table(l: int):
+    """Positive-side transition atom l (K+1 or K+2)."""
+    return [
+        (HALF, [(2.0, [l]), (2.0, [l, l - 1])]),
+        (HALF, [(2.0, [l + 1]), (2.0, [l + 1, l + 1])]),
+    ]
+
+
+def _reflect(table):
+    """Table of the mirror atom -l: bond b -> 1-b."""
+    return [(w, [(c, [1 - b for b in bonds]) for c, bonds in terms]) for w, terms in table]
+
+
+@lru_cache(maxsize=64)
+def _loop_site_tables(kind: ModelKind, N: int, K: int):
+    """Per-site term tables with bond labels resolved to array indices."""
+    grid = ChainGrid(N)
+    if kind == ModelKind.QNL:
+        region = RegionDecomposition(N, K)
+
+    resolved = []
+    for l in range(-N + 1, N + 1):
+        if kind == ModelKind.ATOMISTIC:
+            table = _atom_table(l)
+        elif kind == ModelKind.QCL:
+            table = _continuum_table(l)
+        else:
+            tag = region.classify(l)
+            if tag == "atomistic":
+                table = _atom_table(l)
+            elif tag == "quasi-nonlocal":
+                table = _transition_table(l) if l > 0 else _reflect(_transition_table(-l))
+            else:
+                table = _continuum_table(l)
+        resolved.append(
+            tuple(
+                (w, tuple((c, tuple(grid.index(b) for b in bonds)) for c, bonds in terms))
+                for w, terms in table
+            )
+        )
+    return tuple(resolved)
+
+
+def _loop_tables(model: ModelKind, region: RegionDecomposition):
+    return _loop_site_tables(model, region.N, region.K if model == ModelKind.QNL else -1)
+
+
+def loop_energy(model, region, p, y: Deformation) -> float:
+    """Interaction energy per period by the per-site loop."""
+    tables = _loop_tables(model, region)
+    r = y.strain()
+    phi = p.pair.eval
+    rho = p.density.eval
+    G = p.embedding.eval
+    total = 0.0
+    for groups in tables:
+        for w, terms in groups:
+            dbar = 0.0
+            for c, bonds in terms:
+                arg = 0.0
+                for b in bonds:
+                    arg += r[b]
+                dbar += c * rho(arg)
+                total += HALF * phi(arg)
+            total += w * G(dbar)
+    return y.grid.epsilon * total
+
+
+def loop_strain_gradient(model, region, p, r: np.ndarray) -> np.ndarray:
+    """Per-bond derivative of the per-period energy sum (no eps factor)."""
+    tables = _loop_tables(model, region)
+    phi1 = p.pair.d1
+    rho = p.density.eval
+    rho1 = p.density.d1
+    G1 = p.embedding.d1
+    g = np.zeros_like(r)
+    for groups in tables:
+        for w, terms in groups:
+            dbar = 0.0
+            contribs = []
+            for c, bonds in terms:
+                arg = 0.0
+                for b in bonds:
+                    arg += r[b]
+                dbar += c * rho(arg)
+                contribs.append((c * rho1(arg), HALF * phi1(arg), bonds))
+            wg1 = w * G1(dbar)
+            for slope, pair_slope, bonds in contribs:
+                total_slope = wg1 * slope + pair_slope
+                for b in bonds:
+                    g[b] += total_slope
+    return g
+
+
+def loop_strain_hessian_bands(model, region, p, r: np.ndarray) -> np.ndarray:
+    """Strain-space Hessian of the per-period sum, upper bands 0..3."""
+    tables = _loop_tables(model, region)
+    n = len(r)
+    phi2 = p.pair.d2
+    rho = p.density.eval
+    rho1 = p.density.d1
+    rho2 = p.density.d2
+    G1 = p.embedding.d1
+    G2 = p.embedding.d2
+    q = np.zeros((n, STRAIN_HALF_BANDWIDTH + 1))
+
+    def add(m: int, k: int, val: float) -> None:
+        d = (k - m) % n
+        if d <= STRAIN_HALF_BANDWIDTH:
+            q[m, d] += val
+        elif n - d <= STRAIN_HALF_BANDWIDTH:
+            q[k, n - d] += val
+        else:
+            raise AssertionError("bond coupling beyond strain bandwidth")
+
+    for groups in tables:
+        for w, terms in groups:
+            dbar = 0.0
+            lin: dict[int, float] = {}
+            curv = []
+            for c, bonds in terms:
+                arg = 0.0
+                for b in bonds:
+                    arg += r[b]
+                dbar += c * rho(arg)
+                slope = c * rho1(arg)
+                for b in bonds:
+                    lin[b] = lin.get(b, 0.0) + slope
+                curv.append((c * rho2(arg), HALF * phi2(arg), bonds))
+            wg1 = w * G1(dbar)
+            wg2 = w * G2(dbar)
+            # G'' (ddbar/dr_m)(ddbar/dr_k) over unordered bond pairs
+            items = sorted(lin.items())
+            for i, (m, sm) in enumerate(items):
+                add(m, m, wg2 * sm * sm)
+                for k, sk in items[i + 1 :]:
+                    add(m, k, wg2 * sm * sk)
+            # G' rho'' + phi''/2: second derivative of each term in its argument
+            for c2, pair2, bonds in curv:
+                val = wg1 * c2 + pair2
+                counts: dict[int, int] = {}
+                for b in bonds:
+                    counts[b] = counts.get(b, 0) + 1
+                citems = sorted(counts.items())
+                for i, (m, cm) in enumerate(citems):
+                    add(m, m, val * cm * cm)
+                    for k, ck in citems[i + 1 :]:
+                        add(m, k, val * cm * ck)
+    return q
 
 
 @lru_cache(maxsize=32)

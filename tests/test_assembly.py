@@ -1,0 +1,100 @@
+"""Array term tables against the per-site loop oracle, and model invariants,
+on drawn (material, model, N, K, deformed state)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eamchain.lattice import ChainGrid, PeriodicField
+from eamchain.models import (
+    Deformation,
+    ModelKind,
+    RegionDecomposition,
+    _strain_hessian_bands,
+    _tables_for,
+    energy,
+    force_scale,
+    gradient,
+    hessian,
+)
+from eamchain.potentials import EAMPotential, ScalarFunctionC2, shipped_potential
+
+from conftest import random_displacement
+from oracles import loop_energy, loop_strain_gradient, loop_strain_hessian_bands
+
+POTENTIALS = {name: shipped_potential(name) for name in ("default-eam", "reversal-eam", "pair-morse")}
+
+# Members whose values do not depend on the argument: an evaluator that
+# used such a value unbroadcast would sum one value where it needs one per
+# term.
+CONSTANT_CALLABLES = EAMPotential(
+    ScalarFunctionC2(lambda r: 1.0, lambda r: 0.5, lambda r: 0.25),
+    ScalarFunctionC2(lambda r: 0.5 * r * r - 2.0 * r + 3.0, lambda r: r - 2.0, lambda r: 1.0),
+    ScalarFunctionC2(lambda d: 0.5 * d * d, lambda d: d, lambda d: 1.0),
+    "constant-callables",
+)
+
+RTOL = 1e-13
+
+
+@st.composite
+def deformed_chains(draw):
+    """(potential, model, region, deformation): N in [4, 64], K in [0, N-3],
+    a seeded random displacement about F in [0.95, 1.15]."""
+    p = POTENTIALS[draw(st.sampled_from(sorted(POTENTIALS)))]
+    model = draw(st.sampled_from(list(ModelKind)))
+    n = draw(st.integers(4, 64))
+    region = RegionDecomposition(n, draw(st.integers(0, n - 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = Deformation(draw(st.floats(0.95, 1.15)), random_displacement(ChainGrid(n), rng))
+    return p, model, region, y
+
+
+def assert_matches_loop_oracle(p, model, region, y):
+    grid = y.grid
+    r = y.strain()
+    e_loop = loop_energy(model, region, p, y)
+    assert abs(energy(model, region, p, y) - e_loop) <= RTOL * abs(e_loop)
+
+    gs = loop_strain_gradient(model, region, p, r)
+    g_loop = (gs - np.roll(gs, -1)) / grid.epsilon
+    g = gradient(model, region, p, y).values
+    np.testing.assert_allclose(g, g_loop, rtol=0, atol=RTOL * np.max(np.abs(gs)) / grid.epsilon)
+
+    q_loop = loop_strain_hessian_bands(model, region, p, r)
+    q = _strain_hessian_bands(_tables_for(model, region, grid), r, p)
+    np.testing.assert_allclose(q, q_loop, rtol=0, atol=RTOL * np.max(np.abs(q_loop)))
+
+
+def mirrored(y: Deformation) -> Deformation:
+    """The deformation reflected through site 0: u_l -> -u_{-l}."""
+    grid = y.grid
+    l = grid.sites()
+    values = -y.displacement.values[(-l + grid.N - 1) % grid.period_atoms]
+    return Deformation(y.F, PeriodicField.displacement(grid, values))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(deformed_chains())
+def test_array_tables_match_loop_oracle_and_invariants(chain):
+    p, model, region, y = chain
+    grid = y.grid
+    assert_matches_loop_oracle(p, model, region, y)
+
+    uniform = gradient(model, region, p, Deformation.uniform(grid, y.F)).values
+    assert np.max(np.abs(uniform)) <= 1e-12 * force_scale(p, y.F, grid)
+
+    e = energy(model, region, p, y)
+    assert abs(energy(model, region, p, mirrored(y)) - e) <= RTOL * abs(e)
+
+    h_op = hessian(model, region, p, y.F)
+    assert np.max(np.abs(h_op.apply(np.ones(grid.period_atoms)))) <= 1e-14 * h_op.norm_inf()
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_constant_returning_callables_are_broadcast(rng, model):
+    grid = ChainGrid(16)
+    region = RegionDecomposition(16, 4)
+    y = Deformation(1.02, random_displacement(grid, rng))
+    assert_matches_loop_oracle(CONSTANT_CALLABLES, model, region, y)

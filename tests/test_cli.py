@@ -63,6 +63,13 @@ def test_malformed_input_exits_2_naming_origin(tmp_path, capsys, command, key, v
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["missing.cfg", "."])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, name):
+    path = tmp_path / name
+    assert run_cli("--config", str(path)) == 2
+    assert f"cannot read config file {path}" in capsys.readouterr().err
+
+
 def test_config_validation_rules(tmp_path):
     cfg = ExperimentConfig(command="spectrum", potential=POT, N_values=(16, 8))
     with pytest.raises(Exception, match="increasing"):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from eamchain.lattice import ChainGrid, PeriodicField, diff, norm_l2eps, norm_region, strain_fourier
-from eamchain.models import ModelKind, RegionDecomposition, hessian
+from eamchain.models import ModelKind, RegionDecomposition, SymmetricBandedOperator, hessian
 from eamchain.solver import (
     DeadLoad,
     NotPositiveDefiniteError,
+    SolveError,
     consistency_residual,
     continuum_norm_sites,
     convergence_study,
@@ -39,6 +40,34 @@ def test_solve_zero_load(default_p):
     load = DeadLoad(PeriodicField.zeros(grid), source="zero")
     u = solve_linearized(ModelKind.ATOMISTIC, region, default_p, 1.0, load)
     assert np.max(np.abs(u.values)) == 0.0
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_corrupted_solve_raises_solve_error(default_p, monkeypatch, n):
+    # a solve off by 1e-6 of its size in a random zero-mean direction has a
+    # backward error far above RESIDUAL_RTOL; the exact one passes
+    grid = ChainGrid(n)
+    region = RegionDecomposition(n, 8)
+    load = cosine_load(grid)
+    for model in ModelKind:
+        solve_linearized(model, region, default_p, 1.0, load)
+    noise = np.random.default_rng(5).standard_normal(grid.period_atoms)
+    noise -= noise.mean()
+    pinned_solver = SymmetricBandedOperator.pinned_solver
+
+    def corrupted(self):
+        solve = pinned_solver(self)
+
+        def solve_with_error(b):
+            x = solve(b)
+            return x + 1e-6 * np.max(np.abs(x)) * noise
+
+        return solve_with_error
+
+    monkeypatch.setattr(SymmetricBandedOperator, "pinned_solver", corrupted)
+    for model in ModelKind:
+        with pytest.raises(SolveError, match="infinity norms"):
+            solve_linearized(model, region, default_p, 1.0, load)
 
 
 def test_solve_matches_dense_oracle_and_mode_content(default_p):
@@ -117,6 +146,29 @@ def test_consistency_residual_zero_cases(default_p, rng):
     u = PeriodicField.displacement(grid, vals)
     t = consistency_residual(region, default_p, 1.0, u)
     assert np.max(np.abs(t.values)) == 0.0
+
+
+def test_consistency_residual_mean_check(default_p, monkeypatch):
+    # an operator that does not annihilate constants leaves a mean in T far
+    # above the roundoff of its operands
+    import eamchain.solver as solver_module
+
+    grid = ChainGrid(64)
+    region = RegionDecomposition(64, 8)
+    u = solve_linearized(ModelKind.ATOMISTIC, region, default_p, 1.0, cosine_load(grid))
+    consistency_residual(region, default_p, 1.0, u)
+
+    def hessian_without_row_sum(model, region, p, F):
+        h_op = hessian(model, region, p, F)
+        if model != ModelKind.QNL:
+            return h_op
+        bands = h_op.bands.copy()
+        bands[0, 0] += h_op.norm_inf()
+        return SymmetricBandedOperator(h_op.grid, bands)
+
+    monkeypatch.setattr(solver_module, "hessian", hessian_without_row_sum)
+    with pytest.raises(SolveError, match="consistency residual"):
+        consistency_residual(region, default_p, 1.0, u)
 
 
 def test_consistency_residual_support_and_scaling(default_p):

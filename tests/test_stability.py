@@ -184,9 +184,9 @@ def _curvature_isolation_potential():
     rho = p_slope.integ()
     gq = ScalarFunctionC2(lambda d: 0.5 * d * d, lambda d: d, lambda d: 1.0)
     rho_fn = ScalarFunctionC2(
-        lambda r: float(rho(r)),
-        lambda r: float(p_slope(r)),
-        lambda r: float(p_slope.deriv()(r)),
+        lambda r: rho(r),
+        lambda r: p_slope(r),
+        lambda r: p_slope.deriv()(r),
     )
     return EAMPotential(zero_function(), rho_fn, gq, "curvature-isolation"), F
 
