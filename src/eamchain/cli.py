@@ -173,6 +173,8 @@ def load_config(path: str) -> ExperimentConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path}: not UTF-8 (byte {exc.start})") from exc
     for lineno, key, value in parse_kv_lines(text, origin=str(path)):
         _apply_entry(cfg, key, value, f"{path}:{lineno}")
     return cfg
@@ -403,9 +405,7 @@ def _run_converge(cfg: ExperimentConfig) -> int:
         ],
         rows,
     )
-    plot_path = out / "converge_plot.gp"
-    plot_path.parent.mkdir(parents=True, exist_ok=True)
-    plot_path.write_text(GNUPLOT_TEMPLATE, encoding="utf-8")
+    (out / "converge_plot.gp").write_text(GNUPLOT_TEMPLATE, encoding="utf-8")
     print(
         f"error slope (tail) {rates['error_slope_tail']:.3f}, "
         f"negnorm slope (tail) {rates['negnorm_slope_tail']:.3f}"

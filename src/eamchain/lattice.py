@@ -165,14 +165,13 @@ def norm_l2eps(v: PeriodicField) -> float:
 def norm_region(v: PeriodicField, region, mode: str = "l2") -> float:
     """l2_eps norm of ``v`` restricted to ``region``, or the max over it.
 
-    ``region`` is an iterable of site labels (wrapped periodically);
+    ``region`` is an array-like of site labels (wrapped periodically);
     ``mode`` is "l2" or "max".
     """
-    sites = list(region)
-    if not sites:
+    sites = np.asarray(region, dtype=int)
+    if sites.size == 0:
         raise ValueError("norm over an empty region is undefined")
-    idx = np.array([v.grid.index(s) for s in sites])
-    vals = v.values[idx]
+    vals = v.values[v.grid.index(sites)]
     if mode == "l2":
         return float(np.sqrt(v.grid.epsilon * np.sum(vals**2)))
     if mode == "max":

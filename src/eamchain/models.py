@@ -30,7 +30,8 @@ vectorized update per template slot pair; no loop visits single atoms.
 Conventions: the model energy is the interaction energy per period (dead
 loads are handled in :mod:`eamchain.solver`).  Gradients g satisfy
 ``dE(y)[w] = eps * sum_l g_l w_l`` (the l2_eps pairing), and Hessians H at
-the uniform state satisfy ``d2E(y_F)[u, w] = eps * sum_l (Hu)_l w_l``.
+the uniform state satisfy ``d2E(y_F)[u, w] = eps * sum_l (Hu)_l w_l``; they
+are assembled as ``H = D^T Q D`` from the strain Hessian Q.
 Assembly is deterministic: the arrays and the order of every sum are fixed
 by ``(model, N, K)``, so repeated evaluations are bitwise identical.
 """
@@ -55,15 +56,16 @@ __all__ = [
     "electron_density",
     "energy",
     "gradient",
+    "strain_hessian",
     "hessian",
     "force_scale",
 ]
 
 HALF = 0.5
 
-#: Half-bandwidth of second variations in site space: the exact electron
-#: density at atom l involves strains l-1 .. l+2, so displacements couple
-#: over at most four sites.
+#: Half-bandwidths of second variations: the exact electron density at
+#: atom l involves strains l-1 .. l+2, so strains couple over at most three
+#: bonds and displacements over at most four sites.
 SITE_HALF_BANDWIDTH = 4
 STRAIN_HALF_BANDWIDTH = 3
 
@@ -129,22 +131,21 @@ class Deformation:
 
 @dataclass(frozen=True)
 class SymmetricBandedOperator:
-    """Symmetric periodic-banded operator on site fields, bandwidth 4.
+    """Symmetric periodic-banded operator on site or strain fields.
 
-    ``bands[i, j]`` holds the coefficient coupling site i to site i+j for
-    offsets j = 0..4 (periodic); the lower triangle follows by symmetry.
-    Acts in the l2_eps pairing: the quadratic form is
-    ``eps * u . apply(u)``.
+    ``bands[i, j]`` couples entry i to entry i+j (periodic) for offsets
+    j = 0..w, the half-bandwidth w = ``bands.shape[1] - 1`` (4 for site, 3
+    for strain Hessians); the lower triangle follows by symmetry.  Acts in
+    the l2_eps pairing: the quadratic form is ``eps * u . apply(u)``.
     """
 
     grid: ChainGrid
     bands: np.ndarray
 
     def __post_init__(self) -> None:
-        b = np.asarray(self.bands, dtype=float)
-        if b.shape != (self.grid.period_atoms, SITE_HALF_BANDWIDTH + 1):
+        b = np.array(self.bands, dtype=float)
+        if b.ndim != 2 or b.shape[0] != self.grid.period_atoms or not 1 <= b.shape[1] <= b.shape[0]:
             raise ValueError(f"bands have wrong shape {b.shape}")
-        b = b.copy()
         b.flags.writeable = False
         object.__setattr__(self, "bands", b)
 
@@ -152,7 +153,7 @@ class SymmetricBandedOperator:
         """Matrix-vector product with a full-period value array."""
         v = np.asarray(values, dtype=float)
         out = self.bands[:, 0] * v
-        for j in range(1, SITE_HALF_BANDWIDTH + 1):
+        for j in range(1, self.bands.shape[1]):
             out += self.bands[:, j] * np.roll(v, -j)
             out += np.roll(self.bands[:, j] * v, j)
         return out
@@ -171,44 +172,49 @@ class SymmetricBandedOperator:
         idx = np.arange(n)
         out = np.zeros((n, n))
         out[idx, idx] = self.bands[:, 0]
-        for j in range(1, SITE_HALF_BANDWIDTH + 1):
+        for j in range(1, self.bands.shape[1]):
             out[idx, (idx + j) % n] += self.bands[:, j]
             out[(idx + j) % n, idx] += self.bands[:, j]
         return out
 
-    def pinned_solver(self):
-        """Banded Cholesky solve with site 0 pinned, or None if it fails.
-
-        Ordering the other sites 1, n-1, 2, n-2, ... turns the ring into a
-        plain band of half-width 8.  Every operator here annihilates
-        constants, so by Sylvester's law of inertia the factorization fails
-        exactly when the operator is not positive definite on zero-mean
-        fields.  ``solve(b)`` returns x with x[0] = 0; for zero-mean b it
-        solves the full system up to a constant.
+    def cholesky_solver(self):
+        """Banded Cholesky solve, or None if the operator is not positive
+        definite.  Ordering the ring 0, n-1, 1, n-2, ... turns half-bandwidth
+        w into a plain band of half-width 2w.
         """
-        n = self.grid.period_atoms
-        sites = np.arange(n)
-        position = np.where(sites <= n // 2, 2 * sites - 2, 2 * (n - sites) - 1)
-        order = np.argsort(position[1:]) + 1
-        i, k = np.indices(self.bands.shape)
-        k = (i + k) % n
-        keep = (i != 0) & (k != 0)
-        p, q = position[i[keep]], position[k[keep]]
-        # lower band storage; add.at sums the two offset-4 entries that are
-        # one pair at N = 4, as to_dense does
-        ab = np.zeros((2 * SITE_HALF_BANDWIDTH + 1, n - 1))
-        np.add.at(ab, (np.abs(p - q), np.minimum(p, q)), self.bands[keep])
+        n, width = self.bands.shape
+        i = np.arange(n)
+        position = np.where(i < (n + 1) // 2, 2 * i, 2 * (n - 1 - i) + 1)
+        rows, offsets = np.indices(self.bands.shape)
+        p, q = position[rows], position[(rows + offsets) % n]
+        # lower band storage ab[d, k] = A[k + d, k]; bincount sums the two
+        # entries that are one pair when 2w >= n, as to_dense does
+        cells = np.abs(p - q) * n + np.minimum(p, q)
+        ab = np.bincount(cells.ravel(), self.bands.ravel(), (2 * width - 1) * n).reshape(-1, n)
         try:
             factor = scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
         except scipy.linalg.LinAlgError:
             return None
+        order = np.argsort(position)
 
         def solve(b: np.ndarray) -> np.ndarray:
-            x = np.zeros(n)
+            x = np.empty(n)
             x[order] = scipy.linalg.cho_solve_banded((factor, True), b[order], check_finite=False)
             return x
 
         return solve
+
+    def pinned_solver(self):
+        """Cholesky solve of H + H[0, 0] e_0 e_0^T, or None if it fails.
+
+        For H 1 = 0, H[0, 0] is the quadratic form of the zero-mean field
+        e_0 - mean, so this is positive definite exactly when H is on
+        zero-mean fields; for zero-mean b, ``solve(b)`` solves H x = b with
+        x[0] = 0.
+        """
+        bands = self.bands.copy()
+        bands[0, 0] *= 2.0
+        return SymmetricBandedOperator(self.grid, bands).cholesky_solver()
 
 
 # --------------------------------------------------------------------------
@@ -449,28 +455,38 @@ def _site_bands_from_strain_bands(grid: ChainGrid, q: np.ndarray) -> np.ndarray:
     return bands
 
 
-def hessian(
+def strain_hessian(
     model: ModelKind,
     region: RegionDecomposition,
     p: EAMPotential,
     F: float,
 ) -> SymmetricBandedOperator:
-    """Second variation at the uniform state y_F as a banded operator.
+    """Second variation at y_F in strain space: Q with H = D^T Q D, so
+    ``d2E(y_F)[u, w] = eps * sum_l (Q Du)_l (Dw)_l``.
 
     Only y_F Hessians are built (the analysis point); the atomistic and QCL
-    models read just the size N from ``region``.  Assembled analytically by
-    the chain rule on the term tables (finite differences of the gradient
-    serve only as a test oracle).  The operator annihilates constants and
-    its rows are circulant deep inside the atomistic and continuum regions.
+    models read just the size N from ``region``.  No model has a ghost
+    force at a uniform state, so ``Q 1 = A_F 1`` (A_F the continuum modulus).
     """
     if not F > 0:
         raise ValueError(f"deformation gradient must be positive, got F={F}")
     grid = ChainGrid(region.N)
     tables = _tables_for(model, region if model == ModelKind.QNL else None, grid)
     r = np.full(grid.period_atoms, float(F))
-    q = _strain_hessian_bands(tables, r, p)
-    bands = _site_bands_from_strain_bands(grid, q)
-    return SymmetricBandedOperator(grid, bands)
+    return SymmetricBandedOperator(grid, _strain_hessian_bands(tables, r, p))
+
+
+def hessian(
+    model: ModelKind,
+    region: RegionDecomposition,
+    p: EAMPotential,
+    F: float,
+) -> SymmetricBandedOperator:
+    """Site-space second variation D^T Q D of :func:`strain_hessian`; it
+    annihilates constants and its rows are circulant deep inside the
+    atomistic and continuum regions."""
+    q_op = strain_hessian(model, region, p, F)
+    return SymmetricBandedOperator(q_op.grid, _site_bands_from_strain_bands(q_op.grid, q_op.bands))
 
 
 def force_scale(p: EAMPotential, F: float, grid: ChainGrid) -> float:

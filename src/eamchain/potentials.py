@@ -323,7 +323,11 @@ def parse_potential(text: str, origin: str = "<string>") -> EAMPotential:
 def load_potential_file(path) -> EAMPotential:
     """Load a potential definition from a UTF-8 key = value file."""
     path = Path(path)
-    return parse_potential(path.read_text(encoding="utf-8"), origin=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 (byte {exc.start})") from exc
+    return parse_potential(text, origin=str(path))
 
 
 def shipped_potential(name: str) -> EAMPotential:

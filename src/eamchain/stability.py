@@ -11,7 +11,7 @@ derivatives at strains F and 2F.  The quasi-nonlocal and local couplings are
 not translation invariant.  Their smallest eigenvalue of H u = lambda L u on
 zero-mean displacements, with L the operator of the squared-strain metric,
 is the largest lambda at which H - lambda L is positive definite there,
-which the pinned-site banded Cholesky decides in O(N); lambda_min and the
+which one banded Cholesky factorization decides in O(N); lambda_min and the
 critical strain in F are both found by deterministic bisection on that test.
 """
 

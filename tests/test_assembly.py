@@ -17,8 +17,10 @@ from eamchain.models import (
     force_scale,
     gradient,
     hessian,
+    strain_hessian,
 )
 from eamchain.potentials import EAMPotential, ScalarFunctionC2, shipped_potential
+from eamchain.stability import coefficients
 
 from conftest import random_displacement
 from oracles import loop_energy, loop_strain_gradient, loop_strain_hessian_bands
@@ -88,8 +90,14 @@ def test_array_tables_match_loop_oracle_and_invariants(chain):
     e = energy(model, region, p, y)
     assert abs(energy(model, region, p, mirrored(y)) - e) <= RTOL * abs(e)
 
+    ones = np.ones(grid.period_atoms)
     h_op = hessian(model, region, p, y.F)
-    assert np.max(np.abs(h_op.apply(np.ones(grid.period_atoms)))) <= 1e-14 * h_op.norm_inf()
+    assert np.max(np.abs(h_op.apply(ones))) <= 1e-14 * h_op.norm_inf()
+
+    # Q 1 = A_F 1: the strain solve's zero-sum and definiteness claims rest on it
+    q_op = strain_hessian(model, region, p, y.F)
+    a_f = coefficients(p, y.F).A
+    assert np.max(np.abs(q_op.apply(ones) - a_f)) <= 1e-12 * q_op.norm_inf()
 
 
 @pytest.mark.parametrize("model", list(ModelKind))

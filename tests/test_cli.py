@@ -63,9 +63,15 @@ def test_malformed_input_exits_2_naming_origin(tmp_path, capsys, command, key, v
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name", ["missing.cfg", "."])
-def test_unreadable_config_file_exits_2(tmp_path, capsys, name):
+@pytest.mark.parametrize(
+    "name,content",
+    [("missing.cfg", None), (".", None), ("latin1.cfg", b"\xff\xfe = 1\n")],
+    ids=["missing.cfg", ".", "not-utf8"],
+)
+def test_unreadable_config_file_exits_2(tmp_path, capsys, name, content):
     path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
     assert run_cli("--config", str(path)) == 2
     assert f"cannot read config file {path}" in capsys.readouterr().err
 
@@ -226,12 +232,21 @@ def test_out_dir_naming_a_file_exits_2(tmp_path, capsys):
     assert existing.read_text() == "not a directory\n"
 
 
-@pytest.mark.parametrize("command,value", [("spectrum", "nan"), ("critical-strain", "inf")])
-def test_non_finite_potential_parameter_exits_2(tmp_path, capsys, command, value):
+@pytest.mark.parametrize(
+    "command,value,message",
+    [
+        ("spectrum", "nan", "parameter 'alpha' must be finite"),
+        ("critical-strain", "inf", "parameter 'alpha' must be finite"),
+        ("spectrum", "\xff", "not UTF-8"),
+    ],
+    ids=["spectrum-nan", "critical-strain-inf", "spectrum-not-utf8"],
+)
+def test_non_finite_potential_parameter_exits_2(tmp_path, capsys, command, value, message):
     pot = tmp_path / "bad.pot"
-    pot.write_text(open(POT).read().replace("alpha = 4.0", f"alpha = {value}"))
+    text = open(POT).read().replace("alpha = 4.0", f"alpha = {value}")
+    pot.write_bytes(text.encode("latin-1"))
     out_dir = tmp_path / "out"
     args = ["--command", command, "--potential", str(pot), "--N", "8", "--K", "2"]
     assert run_cli(*args, "--F-range", "1.0:1.15", "--out-dir", str(out_dir)) == 2
-    assert f"{pot}: parameter 'alpha' must be finite" in capsys.readouterr().err
+    assert f"{pot}: {message}" in capsys.readouterr().err
     assert not out_dir.exists()

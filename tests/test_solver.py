@@ -9,6 +9,7 @@ from eamchain.solver import (
     DeadLoad,
     NotPositiveDefiniteError,
     SolveError,
+    consistency_point,
     consistency_residual,
     continuum_norm_sites,
     convergence_study,
@@ -53,10 +54,10 @@ def test_corrupted_solve_raises_solve_error(default_p, monkeypatch, n):
         solve_linearized(model, region, default_p, 1.0, load)
     noise = np.random.default_rng(5).standard_normal(grid.period_atoms)
     noise -= noise.mean()
-    pinned_solver = SymmetricBandedOperator.pinned_solver
+    cholesky_solver = SymmetricBandedOperator.cholesky_solver
 
     def corrupted(self):
-        solve = pinned_solver(self)
+        solve = cholesky_solver(self)
 
         def solve_with_error(b):
             x = solve(b)
@@ -64,7 +65,7 @@ def test_corrupted_solve_raises_solve_error(default_p, monkeypatch, n):
 
         return solve_with_error
 
-    monkeypatch.setattr(SymmetricBandedOperator, "pinned_solver", corrupted)
+    monkeypatch.setattr(SymmetricBandedOperator, "cholesky_solver", corrupted)
     for model in ModelKind:
         with pytest.raises(SolveError, match="infinity norms"):
             solve_linearized(model, region, default_p, 1.0, load)
@@ -148,29 +149,6 @@ def test_consistency_residual_zero_cases(default_p, rng):
     assert np.max(np.abs(t.values)) == 0.0
 
 
-def test_consistency_residual_mean_check(default_p, monkeypatch):
-    # an operator that does not annihilate constants leaves a mean in T far
-    # above the roundoff of its operands
-    import eamchain.solver as solver_module
-
-    grid = ChainGrid(64)
-    region = RegionDecomposition(64, 8)
-    u = solve_linearized(ModelKind.ATOMISTIC, region, default_p, 1.0, cosine_load(grid))
-    consistency_residual(region, default_p, 1.0, u)
-
-    def hessian_without_row_sum(model, region, p, F):
-        h_op = hessian(model, region, p, F)
-        if model != ModelKind.QNL:
-            return h_op
-        bands = h_op.bands.copy()
-        bands[0, 0] += h_op.norm_inf()
-        return SymmetricBandedOperator(h_op.grid, bands)
-
-    monkeypatch.setattr(solver_module, "hessian", hessian_without_row_sum)
-    with pytest.raises(SolveError, match="consistency residual"):
-        consistency_residual(region, default_p, 1.0, u)
-
-
 def test_consistency_residual_support_and_scaling(default_p):
     # smooth field: residual rows are O(eps) near the interface (at most a
     # fixed handful, starting one site inside the core where the coupled
@@ -242,6 +220,16 @@ def test_error_equation_and_stability_chain(default_p):
     assert np.linalg.norm(lhs - t.values) <= 1e-10 * np.linalg.norm(t.values)
     err = norm_l2eps(diff(u_a, 1) - diff(u_q, 1))
     assert err <= negative_norm(t) / coefficients(default_p, 1.0).A * (1 + 1e-6)
+
+
+def test_consistency_negnorm_rate_holds_to_large_n(default_p):
+    # the strain-space residual keeps the exact eps^1.5 rate where a
+    # site-space difference of two O(N^2)-sized operator actions drifts
+    negs = []
+    for n in 2 ** np.arange(12, 17):
+        region = RegionDecomposition(int(n), 8)
+        negs.append(consistency_point(region, default_p, 1.0, cosine_load(ChainGrid(int(n))))[1])
+    np.testing.assert_allclose(np.divide(negs[:-1], negs[1:]), 2**1.5, rtol=0, atol=1e-3)
 
 
 def test_convergence_study_records_and_rates(default_p):
