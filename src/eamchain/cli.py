@@ -10,7 +10,8 @@ studies.
 
 Exit status: 0 all invoked checks passed, 1 a validation check failed,
 2 config error (a malformed value; the message names its flag or file:line),
-3 numerical failure.
+3 numerical failure (including a potential that is not finite at a strain
+analysed).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .models import (
     force_scale,
     gradient,
 )
-from .potentials import check_assumptions, load_potential_file, validate_derivatives
+from .potentials import NonFiniteError, check_assumptions, load_potential_file, validate_derivatives
 from .solver import (
     NotPositiveDefiniteError,
     SolveError,
@@ -507,6 +508,9 @@ def main(argv=None) -> int:
         return 2
     except (NotPositiveDefiniteError, SolveError, BracketError) as exc:
         print(f"numerical failure in {cfg.command!r}: {exc}", file=sys.stderr)
+        return 3
+    except NonFiniteError as exc:
+        print(f"numerical failure in {cfg.command!r}: {exc} (file {cfg.potential})", file=sys.stderr)
         return 3
 
 

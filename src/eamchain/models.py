@@ -23,9 +23,19 @@ The three couplings differ only in their tables:
 Each region class has one constant template, its table with bonds relative
 to the atom.  For one ``(model, N, K)`` the templates are compiled once into
 flat arrays: a weight per group and, per term, its group, coefficient and
-two bond indices.  Energies and gradients are then one chain-rule pass of
-gathers and ``np.bincount`` over all terms, and the Hessian bands one
-vectorized update per template slot pair; no loop visits single atoms.
+two bond indices.  Energies and gradients, at any deformed state, are then
+one chain-rule pass of gathers and ``np.bincount`` over all terms; no loop
+visits single atoms.
+
+Hessians are only built at the uniform state y_F, the point of the
+stability analysis.  There every term argument is F or 2F and every group
+of a template has one density, so each pair of bonds (a template slot
+pair) of an atom carries the same second derivative at every atom of its
+region class: a handful of scalars from phi'', rho', rho'' at F and 2F and
+G', G'' at the group densities.  A strain Hessian row is then fixed by the
+region classes of the atoms that reach it, so a layout compiled once per
+``(model, N, K)`` scatters these per-slot constants into the bands of each
+such row class by one ``np.bincount`` and gathers those bands to rows.
 
 Conventions: the model energy is the interaction energy per period (dead
 loads are handled in :mod:`eamchain.solver`).  Gradients g satisfy
@@ -46,7 +56,7 @@ import numpy as np
 import scipy.linalg
 
 from .lattice import ChainGrid, PeriodicField, diff
-from .potentials import EAMPotential
+from .potentials import EAMPotential, require_finite
 
 __all__ = [
     "ModelKind",
@@ -58,6 +68,7 @@ __all__ = [
     "gradient",
     "strain_hessian",
     "hessian",
+    "ring_solver",
     "force_scale",
 ]
 
@@ -143,7 +154,7 @@ class SymmetricBandedOperator:
     bands: np.ndarray
 
     def __post_init__(self) -> None:
-        b = np.array(self.bands, dtype=float)
+        b = np.array(self.bands, dtype=float, order="C")
         if b.ndim != 2 or b.shape[0] != self.grid.period_atoms or not 1 <= b.shape[1] <= b.shape[0]:
             raise ValueError(f"bands have wrong shape {b.shape}")
         b.flags.writeable = False
@@ -177,32 +188,26 @@ class SymmetricBandedOperator:
             out[(idx + j) % n, idx] += self.bands[:, j]
         return out
 
+    def ring_bands(self) -> np.ndarray:
+        """Lower band storage ``ab[d, k] = A[k + d, k]``, d = 0..2w, of the
+        operator with its entries in ring order 0, n-1, 1, n-2, ..., which
+        turns half-bandwidth w into a plain band of half-width 2w; a fresh
+        Fortran-ordered array, as LAPACK stores it.  ``np.bincount`` sums the
+        two entries that are one pair when 2w >= n, as ``to_dense`` does."""
+        n, width = self.bands.shape
+        cells, _ = _ring_layout(n, width)
+        return np.bincount(cells, self.bands.ravel(), (2 * width - 1) * n).reshape(n, -1).T
+
+    def pinned_bands(self) -> np.ndarray:
+        """``ring_bands`` of H + H[0, 0] e_0 e_0^T (entry 0 is ring position 0)."""
+        ab = self.ring_bands()
+        ab[0, 0] *= 2.0
+        return ab
+
     def cholesky_solver(self):
         """Banded Cholesky solve, or None if the operator is not positive
-        definite.  Ordering the ring 0, n-1, 1, n-2, ... turns half-bandwidth
-        w into a plain band of half-width 2w.
-        """
-        n, width = self.bands.shape
-        i = np.arange(n)
-        position = np.where(i < (n + 1) // 2, 2 * i, 2 * (n - 1 - i) + 1)
-        rows, offsets = np.indices(self.bands.shape)
-        p, q = position[rows], position[(rows + offsets) % n]
-        # lower band storage ab[d, k] = A[k + d, k]; bincount sums the two
-        # entries that are one pair when 2w >= n, as to_dense does
-        cells = np.abs(p - q) * n + np.minimum(p, q)
-        ab = np.bincount(cells.ravel(), self.bands.ravel(), (2 * width - 1) * n).reshape(-1, n)
-        try:
-            factor = scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            return None
-        order = np.argsort(position)
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            x = np.empty(n)
-            x[order] = scipy.linalg.cho_solve_banded((factor, True), b[order], check_finite=False)
-            return x
-
-        return solve
+        definite."""
+        return ring_solver(self.ring_bands())
 
     def pinned_solver(self):
         """Cholesky solve of H + H[0, 0] e_0 e_0^T, or None if it fails.
@@ -212,9 +217,47 @@ class SymmetricBandedOperator:
         zero-mean fields; for zero-mean b, ``solve(b)`` solves H x = b with
         x[0] = 0.
         """
-        bands = self.bands.copy()
-        bands[0, 0] *= 2.0
-        return SymmetricBandedOperator(self.grid, bands).cholesky_solver()
+        return ring_solver(self.pinned_bands())
+
+
+@lru_cache(maxsize=16)
+def _ring_layout(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ring ordering of an n-entry operator with ``width`` bands.
+
+    Entry i sits at ring position 2i in the first half and 2(n-1-i)+1 in the
+    second.  Returns (cells, order): ``cells`` is the flat index
+    k * (2 width - 1) + d of ring band storage ``ab[d, k]`` (column-major)
+    of every ``bands[i, j]`` entry (row-major), and ``order`` the entry at
+    each ring position.  Read-only.
+    """
+    i = np.arange(n)
+    position = np.where(i < (n + 1) // 2, 2 * i, 2 * (n - 1 - i) + 1)
+    rows, offsets = np.indices((n, width))
+    p, q = position[rows], position[(rows + offsets) % n]
+    cells = (np.minimum(p, q) * (2 * width - 1) + np.abs(p - q)).ravel()
+    order = np.argsort(position)
+    for a in (cells, order):
+        a.flags.writeable = False
+    return cells, order
+
+
+def ring_solver(ab: np.ndarray):
+    """Cholesky solve of the operator whose ring band storage is ``ab`` (see
+    :meth:`SymmetricBandedOperator.ring_bands`), or None if it is not
+    positive definite.  ``ab`` is overwritten by the factor."""
+    n = ab.shape[1]
+    try:
+        factor = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return None
+    _, order = _ring_layout(n, (ab.shape[0] + 1) // 2)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = np.empty(n)
+        x[order] = scipy.linalg.cho_solve_banded((factor, True), b[order], check_finite=False)
+        return x
+
+    return solve
 
 
 # --------------------------------------------------------------------------
@@ -242,14 +285,33 @@ def _reflect(template):
     )
 
 
+def _region_classes(kind: ModelKind, N: int, K: int) -> list:
+    """(template, site mask) per region class of one model on one grid.
+    QCL ignores K (own all-continuum table, never a degenerate QNL region)."""
+    n = 2 * N
+    l = np.arange(-N + 1, N + 1)
+    if kind == ModelKind.ATOMISTIC:
+        return [(_ATOM, np.ones(n, bool))]
+    if kind == ModelKind.QCL:
+        return [(_CONTINUUM, np.ones(n, bool))]
+    core = np.abs(l) <= K
+    outer = (l == K + 1) | (l == K + 2)
+    inner = (l == -K - 1) | (l == -K - 2)
+    return [
+        (_ATOM, core),
+        (_TRANSITION, outer),
+        (_reflect(_TRANSITION), inner),
+        (_CONTINUUM, ~(core | outer | inner)),
+    ]
+
+
 class _Table(NamedTuple):
     """One model's term table on one grid, flattened.
 
-    Groups and terms are laid out block by block, then slot by slot, then
-    site by site, so the terms of one template slot are a contiguous slice.
-    ``b1`` of a nearest-neighbour term is the sentinel index n, which reads
-    an appended zero strain.  ``blocks`` holds (template, sites, first group,
-    first term) per region class.
+    Groups and terms are laid out region class by class, then slot by slot,
+    then site by site, so the terms of one template slot are a contiguous
+    slice.  ``b1`` of a nearest-neighbour term is the sentinel index n,
+    which reads an appended zero strain.
     """
 
     weight: np.ndarray
@@ -257,36 +319,17 @@ class _Table(NamedTuple):
     coeff: np.ndarray
     b0: np.ndarray
     b1: np.ndarray
-    blocks: tuple
 
 
 @lru_cache(maxsize=64)
 def _site_tables(kind: ModelKind, N: int, K: int) -> _Table:
-    """Term table of one model on one grid.  QCL ignores K (own
-    all-continuum table, never a degenerate QNL region)."""
+    """Term table of one model on one grid."""
     n = 2 * N
-    l = np.arange(-N + 1, N + 1)
-    if kind == ModelKind.ATOMISTIC:
-        classes = [(_ATOM, np.ones(n, bool))]
-    elif kind == ModelKind.QCL:
-        classes = [(_CONTINUUM, np.ones(n, bool))]
-    else:
-        core = np.abs(l) <= K
-        outer = (l == K + 1) | (l == K + 2)
-        inner = (l == -K - 1) | (l == -K - 2)
-        classes = [
-            (_ATOM, core),
-            (_TRANSITION, outer),
-            (_reflect(_TRANSITION), inner),
-            (_CONTINUUM, ~(core | outer | inner)),
-        ]
-    weight, group, coeff, b0, b1, blocks = [], [], [], [], [], []
-    n_groups = n_terms = 0
-    for template, mask in classes:
+    weight, group, coeff, b0, b1 = [], [], [], [], []
+    n_groups = 0
+    for template, mask in _region_classes(kind, N, K):
         sites = np.flatnonzero(mask)
-        sites.flags.writeable = False
         m = len(sites)
-        blocks.append((template, sites, n_groups, n_terms))
         for w, terms in template:
             weight.append(np.full(m, w))
             for c, offsets in terms:
@@ -294,12 +337,11 @@ def _site_tables(kind: ModelKind, N: int, K: int) -> _Table:
                 coeff.append(np.full(m, c))
                 b0.append((sites + offsets[0]) % n)
                 b1.append((sites + offsets[1]) % n if len(offsets) == 2 else np.full(m, n))
-                n_terms += m
             n_groups += m
     arrays = [np.concatenate(a) for a in (weight, group, coeff, b0, b1)]
     for a in arrays:
         a.flags.writeable = False
-    return _Table(*arrays, tuple(blocks))
+    return _Table(*arrays)
 
 
 def _tables_for(model: ModelKind, region: RegionDecomposition | None, grid: ChainGrid) -> _Table:
@@ -314,7 +356,8 @@ def _tables_for(model: ModelKind, region: RegionDecomposition | None, grid: Chai
 
 def _on(fn, x: np.ndarray) -> np.ndarray:
     """fn applied elementwise to x; a constant result is broadcast to x."""
-    return np.broadcast_to(fn(x), x.shape)
+    y = fn(x)
+    return y if np.shape(y) == x.shape else np.broadcast_to(y, x.shape)
 
 
 def _densities(table: _Table, r: np.ndarray, p: EAMPotential):
@@ -392,67 +435,118 @@ def _pairs(x: dict) -> list:
     return [(a, xa, b, xb) for i, (a, xa) in enumerate(items) for b, xb in items[i:]]
 
 
-def _strain_hessian_bands(table: _Table, r: np.ndarray, p: EAMPotential) -> np.ndarray:
-    """Strain-space Hessian of the per-period sum, upper bands 0..3.
-
-    One pass per template slot pair, vectorized over the template's sites:
-    G'' (ddbar/dr_a)(ddbar/dr_b) per pair of bonds of a group, and
-    G' rho'' + phi''/2 per pair of bonds of a term.  Offsets within a
-    template span at most 3, so the pair (a <= b) lands in band b - a.
-    """
-    n = len(r)
-    arg, dbar = _densities(table, r, p)
-    wg1 = table.weight * _on(p.embedding.d1, dbar)
-    wg2 = table.weight * _on(p.embedding.d2, dbar)
-    slope = table.coeff * _on(p.density.d1, arg)
-    curv = wg1[table.group] * (table.coeff * _on(p.density.d2, arg)) + HALF * _on(p.pair.d2, arg)
-    bands = np.zeros((STRAIN_HALF_BANDWIDTH + 1, n))  # bands[d, k] = Q[k, k + d]
-    for template, sites, g, t in table.blocks:
-        m = len(sites)
-        rows: dict[int, np.ndarray] = {}
-
-        def add(a: int, b: int, val: np.ndarray) -> None:
-            if a not in rows:
-                rows[a] = (sites + a) % n
-            # the sites of a block are distinct, so one indexed add
-            bands[b - a, rows[a]] += val
-
-        for _, terms in template:
-            lin: dict[int, np.ndarray] = {}
-            for _, offsets in terms:
-                counts: dict[int, int] = {}
-                for o in offsets:
-                    lin[o] = lin.get(o, 0.0) + slope[t : t + m]
-                    counts[o] = counts.get(o, 0) + 1
-                for a, ca, b, cb in _pairs(counts):
-                    add(a, b, curv[t : t + m] * ca * cb)
-                t += m
-            for a, sa, b, sb in _pairs(lin):
-                add(a, b, wg2[g : g + m] * sa * sb)
-            g += m
-    return bands.T
-
-
 def _site_bands_from_strain_bands(grid: ChainGrid, q: np.ndarray) -> np.ndarray:
     """Convert a strain-space band matrix Q into site space: H = D^T Q D."""
     n = grid.period_atoms
     eps2 = grid.epsilon**2
     w = STRAIN_HALF_BANDWIDTH
-    padded = np.concatenate([q[-w:], q, q[: w + 1]])  # row k holds q[(k - w) % n]
+    # band d of Q as a contiguous row; column k holds Q[(k - w) % n, (k - w) % n + d]
+    padded = np.concatenate([q[-w:], q, q[: w + 1]]).T.copy()
 
     def qoff(shift: int, d: int) -> np.ndarray:
         # Q[m+shift, m+shift+d] as a vector over m, allowing negative d.
         if abs(d) > w:
             return 0.0
         start = w + shift + min(d, 0)
-        return padded[start : start + n, abs(d)]
+        return padded[abs(d), start : start + n]
 
-    bands = np.zeros((n, SITE_HALF_BANDWIDTH + 1))
+    bands = np.empty((SITE_HALF_BANDWIDTH + 1, n))
     for j in range(SITE_HALF_BANDWIDTH + 1):
-        bands[:, j] = (
-            qoff(0, j) - qoff(0, j + 1) - qoff(1, j - 1) + qoff(1, j)
-        ) / eps2
-    return bands
+        bands[j] = (qoff(0, j) - qoff(0, j + 1) - qoff(1, j - 1) + qoff(1, j)) / eps2
+    return bands.T
+
+
+def _couplings(template) -> tuple:
+    """Bond-offset pairs (a, b), a <= b, that the energy of one atom of
+    ``template`` couples: any two bonds of one density group.  Offsets
+    within a template span at most 3, so pair (a, b) lands in band b - a."""
+    pairs = set()
+    for _, terms in template:
+        offsets = sorted({o for _, term_offsets in terms for o in term_offsets})
+        pairs.update((a, b) for i, a in enumerate(offsets) for b in offsets[i:])
+    return tuple(sorted(pairs))
+
+
+class _HessianLayout(NamedTuple):
+    """Where one model's per-slot Hessian constants go, on one grid.
+
+    ``blocks`` holds (template, couplings) per region class; the per-slot
+    constants are laid out block by block, coupling by coupling.  Row k of
+    the strain Hessian collects coupling (a, a + d) of atom k - a into band
+    d, so rows whose atoms k - a, over the offsets a, lie in the same region
+    classes have the same bands: row k belongs to row class
+    ``row_class[k]``.  Constant ``slots[e]`` adds to cell ``cells[e]`` =
+    row class * (w + 1) + d of the ``n_row_classes`` per-class bands.
+    """
+
+    blocks: tuple
+    n_row_classes: int
+    cells: np.ndarray
+    slots: np.ndarray
+    row_class: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _hessian_layout(kind: ModelKind, N: int, K: int) -> _HessianLayout:
+    """Band layout of the strain Hessian of one model on one grid; read-only
+    arrays.  QCL ignores K, as in :func:`_region_classes`."""
+    classes = _region_classes(kind, N, K)
+    blocks = tuple((template, _couplings(template)) for template, _ in classes)
+    block_of = np.empty(2 * N, dtype=np.intp)
+    for i, (_, mask) in enumerate(classes):
+        block_of[mask] = i
+    offsets = sorted({a for _, pairs in blocks for a, _ in pairs})
+    base = len(blocks)
+    # row k's code: the region classes of its atoms k - a, one digit per offset
+    code = sum(np.roll(block_of, a) * base**i for i, a in enumerate(offsets))
+    codes, row_class = np.unique(code, return_inverse=True)
+    first_slot = np.cumsum([0] + [len(pairs) for _, pairs in blocks])
+    cells, slots = [], []
+    for c, row_code in enumerate(codes):
+        for i, a in enumerate(offsets):
+            block = row_code // base**i % base
+            for j, (pa, pb) in enumerate(blocks[block][1]):
+                if pa == a:
+                    cells.append(c * (STRAIN_HALF_BANDWIDTH + 1) + pb - pa)
+                    slots.append(first_slot[block] + j)
+    arrays = np.array(cells), np.array(slots), row_class.reshape(-1)
+    for a in arrays:
+        a.flags.writeable = False
+    return _HessianLayout(blocks, len(codes), *arrays)
+
+
+def _slot_constants(blocks, p: EAMPotential, F: float) -> np.ndarray:
+    """Strain Hessian constants at y_F of one atom per (block, coupling),
+    in layout order: G'' (ddbar/dr_a)(ddbar/dr_b) per pair of bonds of a
+    group and G' rho'' + phi''/2 per pair of bonds of a term.  A term's
+    argument is F or 2F by its number of bonds, so the potentials are
+    evaluated at those two strains and at the group densities only."""
+    at = np.array([F, 2.0 * F])
+    rho, rho1, rho2, phi2 = (_on(f, at).tolist() for f in (p.density.eval, p.density.d1, p.density.d2, p.pair.d2))
+    groups = [terms for template, _ in blocks for _, terms in template]
+    dbar = np.array([sum(c * rho[len(offsets) - 1] for c, offsets in terms) for terms in groups])
+    g1, g2 = (_on(f, dbar).tolist() for f in (p.embedding.d1, p.embedding.d2))
+    out = []
+    i = 0
+    for template, pairs in blocks:
+        q = dict.fromkeys(pairs, 0.0)
+        for w, terms in template:
+            wg1, wg2 = w * g1[i], w * g2[i]
+            i += 1
+            lin: dict[int, float] = {}
+            for c, offsets in terms:
+                k = len(offsets) - 1
+                curv = wg1 * (c * rho2[k]) + HALF * phi2[k]
+                counts: dict[int, int] = {}
+                for o in offsets:
+                    lin[o] = lin.get(o, 0.0) + c * rho1[k]
+                    counts[o] = counts.get(o, 0) + 1
+                for a, ca, b, cb in _pairs(counts):
+                    q[a, b] += curv * ca * cb
+            for a, sa, b, sb in _pairs(lin):
+                q[a, b] += wg2 * sa * sb
+        out.extend(q[pair] for pair in pairs)
+    return np.array(out)
 
 
 def strain_hessian(
@@ -464,16 +558,20 @@ def strain_hessian(
     """Second variation at y_F in strain space: Q with H = D^T Q D, so
     ``d2E(y_F)[u, w] = eps * sum_l (Q Du)_l (Dw)_l``.
 
-    Only y_F Hessians are built (the analysis point); the atomistic and QCL
-    models read just the size N from ``region``.  No model has a ghost
-    force at a uniform state, so ``Q 1 = A_F 1`` (A_F the continuum modulus).
+    Only y_F Hessians are built (the analysis point), from a few per-slot
+    scalar constants; the atomistic and QCL models read just the size N
+    from ``region``.  No model has a
+    ghost force at a uniform state, so ``Q 1 = A_F 1`` (A_F the continuum
+    modulus).  Raises NonFiniteError if a constant is not finite.
     """
     if not F > 0:
         raise ValueError(f"deformation gradient must be positive, got F={F}")
-    grid = ChainGrid(region.N)
-    tables = _tables_for(model, region if model == ModelKind.QNL else None, grid)
-    r = np.full(grid.period_atoms, float(F))
-    return SymmetricBandedOperator(grid, _strain_hessian_bands(tables, r, p))
+    layout = _hessian_layout(model, region.N, region.K if model == ModelKind.QNL else -1)
+    consts = _slot_constants(layout.blocks, p, F)
+    require_finite(p, F, "strain Hessian", consts)
+    width = STRAIN_HALF_BANDWIDTH + 1
+    per_class = np.bincount(layout.cells, consts[layout.slots], layout.n_row_classes * width)
+    return SymmetricBandedOperator(ChainGrid(region.N), per_class.reshape(-1, width)[layout.row_class])
 
 
 def hessian(
@@ -482,8 +580,8 @@ def hessian(
     p: EAMPotential,
     F: float,
 ) -> SymmetricBandedOperator:
-    """Site-space second variation D^T Q D of :func:`strain_hessian`; it
-    annihilates constants and its rows are circulant deep inside the
+    """Site-space second variation D^T Q D at y_F of :func:`strain_hessian`;
+    it annihilates constants and its rows are circulant deep inside the
     atomistic and continuum regions."""
     q_op = strain_hessian(model, region, p, F)
     return SymmetricBandedOperator(q_op.grid, _site_bands_from_strain_bands(q_op.grid, q_op.bands))

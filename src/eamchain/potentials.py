@@ -47,6 +47,8 @@ __all__ = [
     "shipped_potential",
     "STABLE_RANGES",
     "mean_field_density",
+    "NonFiniteError",
+    "require_finite",
 ]
 
 POTENTIAL_KEYS = {
@@ -68,6 +70,19 @@ STABLE_RANGES = {
     "reversal-eam": (0.95, 1.15),
     "pair-morse": (0.95, 1.15),
 }
+
+
+class NonFiniteError(ArithmeticError):
+    """A potential's derivatives at the analysed uniform strain are not
+    finite (e.g. an exponential overflows), so no result there means
+    anything."""
+
+
+def require_finite(p: "EAMPotential", F: float, what: str, values) -> None:
+    """Raise NonFiniteError, naming the potential and F, unless every one of
+    ``values`` is finite."""
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError(f"potential {p.name or '<unnamed>'!r} gives a non-finite {what} at F={F}")
 
 
 @dataclass(frozen=True)

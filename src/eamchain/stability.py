@@ -17,6 +17,7 @@ critical strain in F are both found by deterministic bisection on that test.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -28,8 +29,9 @@ from .models import (
     RegionDecomposition,
     SymmetricBandedOperator,
     hessian,
+    ring_solver,
 )
-from .potentials import EAMPotential, mean_field_density
+from .potentials import EAMPotential, mean_field_density, require_finite
 
 __all__ = [
     "StabilityCoefficients",
@@ -102,6 +104,7 @@ def coefficients(p: EAMPotential, F: float) -> StabilityCoefficients:
 
     Embedding derivatives are evaluated at the uniform summed density
     2 rho(F) + 2 rho(2F).  For a pure pair potential only A_tilde survives.
+    Raises NonFiniteError if a coefficient is not finite.
     """
     if not F > 0:
         raise ValueError(f"strain must be positive, got F={F}")
@@ -120,6 +123,7 @@ def coefficients(p: EAMPotential, F: float) -> StabilityCoefficients:
     b = -(phi2_2F + g2 * (r1F**2 + 20 * r12F**2 + 12 * r1F * r12F) + 2 * g1 * r22F)
     c = g2 * (8 * r12F**2 + 2 * r1F * r12F)
     d = -g2 * r12F**2
+    require_finite(p, F, "stability coefficient", [a_hat, a_tilde, b, c, d])
     return StabilityCoefficients(F=F, A_hat=a_hat, A_tilde=a_tilde, B=b, C=c, D=d)
 
 
@@ -178,31 +182,64 @@ def min_eig_numeric(
 ):
     """Smallest eigenvalue of H u = lambda L u on zero-mean displacements.
 
-    Returns (lambda_min, mode), the mode with unit ``||Du||``.  lambda_min
-    is bisected on definiteness of H - lambda L to ~1e-14 relative, between
-    a step doubled down until definite and the Rayleigh quotient of a
-    fixed-seed start vector; one inverse-iteration step from that vector,
-    with the factor at the definite end, gives the mode.
+    Returns (lambda_min, mode), the mode with unit ``||Du||``.  H - lambda L
+    is positive definite on zero-mean fields exactly when the banded
+    Cholesky of its pinned ring band storage ``ab_H - lambda ab_L``
+    succeeds; both storages are built once, so each test is one axpy and
+    one factorization.  The bracket: a step doubled down from the Rayleigh
+    quotient of a fixed-seed start vector until definite gives the lower
+    end; two inverse-iteration steps with that factor give a Rayleigh
+    quotient, the upper end.  Shifts below it lower the upper end while
+    definiteness fails and become the lower end once it holds, starting at
+    the Aitken estimate dec2^2 / (dec1 - dec2) of the quotient's remaining
+    error from its two decrements (when they shrink) and 4 times further
+    each time.  Bisection then closes the bracket to ~1e-14 relative; one
+    inverse-iteration step from the start vector, with the factor at the
+    final lower end, gives the mode.
     """
     if region.N != N:
         raise ValueError(f"region size {region.N} does not match N={N}")
     grid = ChainGrid(N)
     h_op, l_op = hessian(model, region, p, F), strain_metric_operator(grid)
+    ab_h, ab_l = h_op.pinned_bands(), l_op.pinned_bands()
+    solve_lo = None  # solve with the factor at the highest shift found definite
 
-    def shifted_solver(lam: float):
-        return SymmetricBandedOperator(grid, h_op.bands - lam * l_op.bands).pinned_solver()
+    def definite(lam: float) -> bool:
+        nonlocal solve_lo
+        ab = ab_l * -lam
+        ab += ab_h
+        solve = ring_solver(ab)
+        if solve is not None:
+            solve_lo = solve
+        return solve is not None
+
+    def rayleigh(x: np.ndarray) -> float:
+        x = x - x.mean()
+        return float(np.dot(x, h_op.apply(x)) / np.dot(x, l_op.apply(x)))
 
     start = np.random.default_rng(0).standard_normal(grid.period_atoms)
     start -= start.mean()
     l_start = l_op.apply(start)
-    hi = float(np.dot(start, h_op.apply(start)) / np.dot(start, l_start))
+    hi = rayleigh(start)
     step = max(1.0, abs(hi))
-    while shifted_solver(hi - step) is None:
+    while not definite(hi - step):
         step *= 2.0
     lo = hi - step
+    x1 = solve_lo(l_start)
+    x2 = solve_lo(l_op.apply(x1))
+    rq1, rq2 = rayleigh(x1), rayleigh(x2)
+    dec1, dec2 = hi - rq1, rq1 - rq2
+    hi = min(hi, rq2)
     tol = 1e-14 * max(1.0, abs(lo), abs(hi))
-    lo, hi = _bisect(lambda lam: shifted_solver(lam) is not None, lo, hi, tol)
-    mode = PeriodicField.displacement(grid, shifted_solver(lo)(l_start))
+    delta = max(dec2 * dec2 / (dec1 - dec2), tol) if 0 < dec2 < dec1 else math.inf
+    while hi - delta > lo:
+        if definite(hi - delta):
+            lo = hi - delta
+            break
+        hi -= delta
+        delta *= 4.0
+    lo, hi = _bisect(definite, lo, hi, tol)
+    mode = PeriodicField.displacement(grid, solve_lo(l_start))
     return 0.5 * (lo + hi), mode * (1.0 / norm_l2eps(diff(mode, 1)))
 
 

@@ -1,5 +1,6 @@
 """Array term tables against the per-site loop oracle, and model invariants,
-on drawn (material, model, N, K, deformed state)."""
+on drawn (material, model, N, K, deformed state); y_F Hessians from per-slot
+constants against the loop oracle at r = F."""
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from eamchain.models import (
     Deformation,
     ModelKind,
     RegionDecomposition,
-    _strain_hessian_bands,
-    _tables_for,
+    _hessian_layout,
+    _ring_layout,
     energy,
     force_scale,
     gradient,
@@ -64,8 +65,9 @@ def assert_matches_loop_oracle(p, model, region, y):
     g = gradient(model, region, p, y).values
     np.testing.assert_allclose(g, g_loop, rtol=0, atol=RTOL * np.max(np.abs(gs)) / grid.epsilon)
 
-    q_loop = loop_strain_hessian_bands(model, region, p, r)
-    q = _strain_hessian_bands(_tables_for(model, region, grid), r, p)
+    # Hessians are only built at the uniform state
+    q_loop = loop_strain_hessian_bands(model, region, p, np.full(grid.period_atoms, y.F))
+    q = strain_hessian(model, region, p, y.F).bands
     np.testing.assert_allclose(q, q_loop, rtol=0, atol=RTOL * np.max(np.abs(q_loop)))
 
 
@@ -106,3 +108,61 @@ def test_constant_returning_callables_are_broadcast(rng, model):
     region = RegionDecomposition(16, 4)
     y = Deformation(1.02, random_displacement(grid, rng))
     assert_matches_loop_oracle(CONSTANT_CALLABLES, model, region, y)
+
+
+def dense_from_bands(bands: np.ndarray) -> np.ndarray:
+    """Symmetric periodic matrix with A[i, i + j] = bands[i, j], by entries."""
+    n, width = bands.shape
+    a = np.zeros((n, n))
+    for i in range(n):
+        for j in range(width):
+            a[i, (i + j) % n] += bands[i, j]
+            if j:
+                a[(i + j) % n, i] += bands[i, j]
+    return a
+
+
+@st.composite
+def small_uniform_chains(draw):
+    """(potential, model, region, F) with N in [4, 8] and K in [0, N-3]: the
+    mirrored transition stencils share sites, and at N = 4 the two offset-4
+    entries of a site pair are one entry."""
+    p = POTENTIALS[draw(st.sampled_from(sorted(POTENTIALS)))]
+    model = draw(st.sampled_from(list(ModelKind)))
+    n = draw(st.integers(4, 8))
+    return p, model, RegionDecomposition(n, draw(st.integers(0, n - 3))), draw(st.floats(0.95, 1.15))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(small_uniform_chains())
+def test_small_chain_hessians_match_loop_oracle(chain):
+    p, model, region, F = chain
+    grid = ChainGrid(region.N)
+    n = grid.period_atoms
+    q_loop = loop_strain_hessian_bands(model, region, p, np.full(n, F))
+    q_op = strain_hessian(model, region, p, F)
+    assert np.max(np.abs(q_op.bands - q_loop)) <= 1e-14 * q_op.norm_inf()
+
+    # site space: H = D^T Q D with (Du)_l = (u_l - u_{l-1}) / eps
+    d = (np.eye(n) - np.roll(np.eye(n), -1, axis=1)) / grid.epsilon
+    h_dense = d.T @ dense_from_bands(q_loop) @ d
+    h_op = hessian(model, region, p, F)
+    assert np.max(np.abs(dense_from_bands(h_op.bands) - h_dense)) <= 1e-14 * h_op.norm_inf()
+
+    # ring band storage: lower bands of the matrix in ring order 0, n-1, 1,
+    # n-2, ..., with the two entries of one pair summed
+    order = np.ravel(np.column_stack([np.arange(n // 2), np.arange(n - 1, n // 2 - 1, -1)]))
+    ring = dense_from_bands(h_op.bands)[np.ix_(order, order)]
+    ab = h_op.ring_bands()
+    for diag in range(min(ab.shape[0], n)):
+        expected = np.diag(ring, -diag)
+        assert np.max(np.abs(ab[diag, : n - diag] - expected)) <= 1e-14 * h_op.norm_inf()
+
+
+def test_cached_layouts_are_read_only():
+    layout = _hessian_layout(ModelKind.QNL, 16, 4)
+    arrays = [layout.cells, layout.slots, layout.row_class, *_ring_layout(32, 5)]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0

@@ -250,3 +250,24 @@ def test_non_finite_potential_parameter_exits_2(tmp_path, capsys, command, value
     assert run_cli(*args, "--F-range", "1.0:1.15", "--out-dir", str(out_dir)) == 2
     assert f"{pot}: {message}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("converge", ["--F", "0.5"]),
+        ("consistency", ["--F", "0.5"]),
+        ("spectrum", ["--F", "0.5"]),
+        ("critical-strain", ["--F-range", "0.5:1.0"]),
+    ],
+)
+def test_potential_overflowing_at_the_uniform_state_exits_3(tmp_path, capsys, command, extra):
+    # exp(-2 alpha (F - 1)) overflows at F = 0.5 for alpha = 800
+    pot = tmp_path / "steep.pot"
+    pot.write_text(open(POT).read().replace("alpha = 4.0", "alpha = 800.0"))
+    out_dir = tmp_path / "out"
+    args = ["--command", command, "--potential", str(pot), "--N", "16,32", "--K", "4", *extra]
+    assert run_cli(*args, "--out-dir", str(out_dir)) == 3
+    err = capsys.readouterr().err
+    assert "potential 'default-eam'" in err and "F=0.5" in err and str(pot) in err
+    assert not out_dir.exists()

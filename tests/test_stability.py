@@ -6,7 +6,13 @@ import scipy.optimize
 
 from eamchain.lattice import ChainGrid, diff, norm_l2eps
 from eamchain.models import ModelKind, RegionDecomposition, hessian
-from eamchain.potentials import EAMPotential, ScalarFunctionC2, shipped_potential, zero_function
+from eamchain.potentials import (
+    EAMPotential,
+    NonFiniteError,
+    ScalarFunctionC2,
+    shipped_potential,
+    zero_function,
+)
 from eamchain.stability import (
     BracketError,
     coefficients,
@@ -337,3 +343,15 @@ def test_zone_boundary_cubic_value_is_oscillatory_curvature(name, F):
     dbar = 2 * p.density(F) + 2 * p.density(2 * F)
     target = p.pair.d2(F) + 2 * p.embedding.d1(dbar) * p.density.d2(F)
     assert lambda_cubic(coefficients(p, F), 4.0) == pytest.approx(target, rel=1e-14)
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_non_finite_hessian_raises(default_p, model):
+    # a density whose curvature is not a number at the next-nearest distance
+    rho = default_p.density
+    nan_at_2f = ScalarFunctionC2(rho.eval, rho.d1, lambda r: np.where(r > 1.5, np.nan, rho.d2(r)))
+    p = EAMPotential(default_p.pair, nan_at_2f, default_p.embedding, "nan-curvature")
+    region = RegionDecomposition(16, 4)
+    for call in (lambda: min_eig_numeric(model, region, p, 1.0, 16), lambda: coefficients(p, 1.0)):
+        with pytest.raises(NonFiniteError, match="'nan-curvature'.*F=1.0"):
+            call()
