@@ -280,7 +280,7 @@ def _run_validate(cfg: ExperimentConfig) -> int:
         scale = force_scale(p, f_val, grid)
         for model in ModelKind:
             g = gradient(model, region, p, Deformation.uniform(grid, f_val))
-            worst_gf = max(worst_gf, float(np.max(np.abs(g.values))) / scale)
+            worst_gf = np.maximum(worst_gf, np.max(np.abs(g.values)) / scale)  # keeps NaN
     checks.append(("ghost-force", worst_gf <= 1e-12, f"max|g|/scale {worst_gf:.3e}"))
 
     grid = ChainGrid(16)
@@ -304,7 +304,7 @@ def _run_validate(cfg: ExperimentConfig) -> int:
                 e_plus = energy(model, region16, p, Deformation(f_val, u + h * w))
                 e_minus = energy(model, region16, p, Deformation(f_val, u + (-h) * w))
                 fd = (e_plus - e_minus) / (2 * h)
-                worst_fd = max(worst_fd, abs(paired - fd) / max(abs(fd), 1e-12))
+                worst_fd = np.maximum(worst_fd, abs(paired - fd) / max(abs(fd), 1e-12))
     checks.append(("gradient-vs-energy", worst_fd <= 1e-6, f"max rel deviation {worst_fd:.3e}"))
 
     for f_val in cfg.F_values:

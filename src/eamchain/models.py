@@ -41,7 +41,9 @@ Conventions: the model energy is the interaction energy per period (dead
 loads are handled in :mod:`eamchain.solver`).  Gradients g satisfy
 ``dE(y)[w] = eps * sum_l g_l w_l`` (the l2_eps pairing), and Hessians H at
 the uniform state satisfy ``d2E(y_F)[u, w] = eps * sum_l (Hu)_l w_l``; they
-are assembled as ``H = D^T Q D`` from the strain Hessian Q.
+are assembled as ``H = D^T Q D`` from the strain Hessian Q.  Solves and
+stability tests work on Q alone, whose entries stay of order one at every
+N while those of H grow like N^2; :func:`hessian` builds H on request.
 Assembly is deterministic: the arrays and the order of every sum are fixed
 by ``(model, N, K)``, so repeated evaluations are bitwise identical.
 """
@@ -198,26 +200,10 @@ class SymmetricBandedOperator:
         cells, _ = _ring_layout(n, width)
         return np.bincount(cells, self.bands.ravel(), (2 * width - 1) * n).reshape(n, -1).T
 
-    def pinned_bands(self) -> np.ndarray:
-        """``ring_bands`` of H + H[0, 0] e_0 e_0^T (entry 0 is ring position 0)."""
-        ab = self.ring_bands()
-        ab[0, 0] *= 2.0
-        return ab
-
     def cholesky_solver(self):
         """Banded Cholesky solve, or None if the operator is not positive
         definite."""
         return ring_solver(self.ring_bands())
-
-    def pinned_solver(self):
-        """Cholesky solve of H + H[0, 0] e_0 e_0^T, or None if it fails.
-
-        For H 1 = 0, H[0, 0] is the quadratic form of the zero-mean field
-        e_0 - mean, so this is positive definite exactly when H is on
-        zero-mean fields; for zero-mean b, ``solve(b)`` solves H x = b with
-        x[0] = 0.
-        """
-        return ring_solver(self.pinned_bands())
 
 
 @lru_cache(maxsize=16)
@@ -560,14 +546,15 @@ def strain_hessian(
 
     Only y_F Hessians are built (the analysis point), from a few per-slot
     scalar constants; the atomistic and QCL models read just the size N
-    from ``region``.  No model has a
-    ghost force at a uniform state, so ``Q 1 = A_F 1`` (A_F the continuum
-    modulus).  Raises NonFiniteError if a constant is not finite.
+    from ``region``.  No model has a ghost force at a uniform state, so
+    ``Q 1 = A_F 1`` (A_F the continuum modulus).  Raises NonFiniteError if
+    a constant is not finite.
     """
     if not F > 0:
         raise ValueError(f"deformation gradient must be positive, got F={F}")
     layout = _hessian_layout(model, region.N, region.K if model == ModelKind.QNL else -1)
-    consts = _slot_constants(layout.blocks, p, F)
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
+        consts = _slot_constants(layout.blocks, p, F)
     require_finite(p, F, "strain Hessian", consts)
     width = STRAIN_HALF_BANDWIDTH + 1
     per_class = np.bincount(layout.cells, consts[layout.slots], layout.n_row_classes * width)

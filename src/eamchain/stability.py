@@ -8,11 +8,13 @@ are values of a cubic
 
 whose coefficients are closed-form combinations of the potential's
 derivatives at strains F and 2F.  The quasi-nonlocal and local couplings are
-not translation invariant.  Their smallest eigenvalue of H u = lambda L u on
-zero-mean displacements, with L the operator of the squared-strain metric,
-is the largest lambda at which H - lambda L is positive definite there,
-which one banded Cholesky factorization decides in O(N); lambda_min and the
-critical strain in F are both found by deterministic bisection on that test.
+not translation invariant.  With H = D^T Q D, their smallest eigenvalue of
+H u = lambda L u on zero-mean displacements (L the operator of the
+squared-strain metric) is that of the strain Hessian Q on zero-sum strains
+Du.  It is at most A_F, the eigenvalue of Q on constants, so one banded
+Cholesky factorization of Q - lambda I decides in O(N) whether lambda lies
+below it; lambda_min and the critical strain in F are both found by
+deterministic bisection on that test.
 """
 
 from __future__ import annotations
@@ -23,14 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ChainGrid, PeriodicField, diff, norm_l2eps
-from .models import (
-    ModelKind,
-    RegionDecomposition,
-    SymmetricBandedOperator,
-    hessian,
-    ring_solver,
-)
+from .lattice import ChainGrid, PeriodicField, diff, displacement_from_strain, norm_l2eps
+from .models import ModelKind, RegionDecomposition, SymmetricBandedOperator, ring_solver, strain_hessian
 from .potentials import EAMPotential, mean_field_density, require_finite
 
 __all__ = [
@@ -108,21 +104,22 @@ def coefficients(p: EAMPotential, F: float) -> StabilityCoefficients:
     """
     if not F > 0:
         raise ValueError(f"strain must be positive, got F={F}")
-    dbar = mean_field_density(p, F)
-    phi2_F = p.pair.d2(F)
-    phi2_2F = p.pair.d2(2 * F)
-    r1F = p.density.d1(F)
-    r12F = p.density.d1(2 * F)
-    r2F = p.density.d2(F)
-    r22F = p.density.d2(2 * F)
-    g1 = p.embedding.d1(dbar)
-    g2 = p.embedding.d2(dbar)
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
+        dbar = mean_field_density(p, F)
+        phi2_F = p.pair.d2(F)
+        phi2_2F = p.pair.d2(2 * F)
+        r1F = p.density.d1(F)
+        r12F = p.density.d1(2 * F)
+        r2F = p.density.d2(F)
+        r22F = p.density.d2(2 * F)
+        g1 = p.embedding.d1(dbar)
+        g2 = p.embedding.d2(dbar)
 
-    a_hat = 4 * g2 * (r1F + 2 * r12F) ** 2 + 2 * g1 * (r2F + 4 * r22F)
-    a_tilde = phi2_F + 4 * phi2_2F
-    b = -(phi2_2F + g2 * (r1F**2 + 20 * r12F**2 + 12 * r1F * r12F) + 2 * g1 * r22F)
-    c = g2 * (8 * r12F**2 + 2 * r1F * r12F)
-    d = -g2 * r12F**2
+        a_hat = 4 * g2 * (r1F + 2 * r12F) ** 2 + 2 * g1 * (r2F + 4 * r22F)
+        a_tilde = phi2_F + 4 * phi2_2F
+        b = -(phi2_2F + g2 * (r1F**2 + 20 * r12F**2 + 12 * r1F * r12F) + 2 * g1 * r22F)
+        c = g2 * (8 * r12F**2 + 2 * r1F * r12F)
+        d = -g2 * r12F**2
     require_finite(p, F, "stability coefficient", [a_hat, a_tilde, b, c, d])
     return StabilityCoefficients(F=F, A_hat=a_hat, A_tilde=a_tilde, B=b, C=c, D=d)
 
@@ -182,51 +179,62 @@ def min_eig_numeric(
 ):
     """Smallest eigenvalue of H u = lambda L u on zero-mean displacements.
 
-    Returns (lambda_min, mode), the mode with unit ``||Du||``.  H - lambda L
-    is positive definite on zero-mean fields exactly when the banded
-    Cholesky of its pinned ring band storage ``ab_H - lambda ab_L``
-    succeeds; both storages are built once, so each test is one axpy and
-    one factorization.  The bracket: a step doubled down from the Rayleigh
-    quotient of a fixed-seed start vector until definite gives the lower
-    end; two inverse-iteration steps with that factor give a Rayleigh
-    quotient, the upper end.  Shifts below it lower the upper end while
-    definiteness fails and become the lower end once it holds, starting at
-    the Aitken estimate dec2^2 / (dec1 - dec2) of the quotient's remaining
-    error from its two decrements (when they shrink) and 4 times further
-    each time.  Bisection then closes the bracket to ~1e-14 relative; one
-    inverse-iteration step from the start vector, with the factor at the
-    final lower end, gives the mode.
+    Returns (lambda_min, mode), the mode with unit ``||Du||``.  The
+    atomistic chain has both in closed form: the minimum of
+    :func:`fourier_spectrum` and the cosine displacement at its wavenumber.
+    A coupled model's lambda_min is the smallest eigenvalue of the strain
+    Hessian Q on zero-sum strains, and at most A_F: QCL's Q is A_F I, and a
+    QNL region leaves two or more bonds that only continuum atoms touch,
+    where Q is A_F I.  So lambda < lambda_min exactly when the banded
+    Cholesky of Q - lambda I succeeds: a copy of Q's ring band storage, a
+    diagonal update and one factorization.  The bracket: a step doubled
+    down from the Rayleigh quotient x.Qx / x.x of a fixed-seed zero-sum
+    start vector until definite gives the lower end; two inverse-iteration
+    steps with that factor, means removed, give a Rayleigh quotient, the
+    upper end.  Shifts below it lower the upper end while definiteness
+    fails and become the lower end once it holds, starting at the Aitken
+    estimate dec2^2 / (dec1 - dec2) of the quotient's remaining error from
+    its two decrements (when they shrink) and 4 times further each time.
+    Bisection then closes the bracket to ~1e-14 relative; the mode
+    integrates one inverse-iteration step from the start vector with the
+    factor at the final lower end.
     """
     if region.N != N:
         raise ValueError(f"region size {region.N} does not match N={N}")
     grid = ChainGrid(N)
-    h_op, l_op = hessian(model, region, p, F), strain_metric_operator(grid)
-    ab_h, ab_l = h_op.pinned_bands(), l_op.pinned_bands()
+    if model == ModelKind.ATOMISTIC:
+        rep = fourier_spectrum(p, F, N)
+        mode = PeriodicField.displacement(grid, np.cos(np.pi * rep.min_mode * grid.positions()))
+        return rep.min_eigenvalue, mode * (1.0 / norm_l2eps(diff(mode, 1)))
+    q_op = strain_hessian(model, region, p, F)
+    ab_q = q_op.ring_bands()
     solve_lo = None  # solve with the factor at the highest shift found definite
 
     def definite(lam: float) -> bool:
         nonlocal solve_lo
-        ab = ab_l * -lam
-        ab += ab_h
+        ab = ab_q.copy(order="F")
+        ab[0] -= lam
         solve = ring_solver(ab)
         if solve is not None:
             solve_lo = solve
         return solve is not None
 
+    def inverse_step(x: np.ndarray) -> np.ndarray:
+        y = solve_lo(x)
+        return y - y.mean()
+
     def rayleigh(x: np.ndarray) -> float:
-        x = x - x.mean()
-        return float(np.dot(x, h_op.apply(x)) / np.dot(x, l_op.apply(x)))
+        return float(np.dot(x, q_op.apply(x)) / np.dot(x, x))
 
     start = np.random.default_rng(0).standard_normal(grid.period_atoms)
     start -= start.mean()
-    l_start = l_op.apply(start)
     hi = rayleigh(start)
     step = max(1.0, abs(hi))
     while not definite(hi - step):
         step *= 2.0
     lo = hi - step
-    x1 = solve_lo(l_start)
-    x2 = solve_lo(l_op.apply(x1))
+    x1 = inverse_step(start)
+    x2 = inverse_step(x1)
     rq1, rq2 = rayleigh(x1), rayleigh(x2)
     dec1, dec2 = hi - rq1, rq1 - rq2
     hi = min(hi, rq2)
@@ -239,7 +247,7 @@ def min_eig_numeric(
         hi -= delta
         delta *= 4.0
     lo, hi = _bisect(definite, lo, hi, tol)
-    mode = PeriodicField.displacement(grid, solve_lo(l_start))
+    mode = displacement_from_strain(grid, inverse_step(start))
     return 0.5 * (lo + hi), mode * (1.0 / norm_l2eps(diff(mode, 1)))
 
 
@@ -256,8 +264,9 @@ def critical_strain(
     ``bracket = (F_lo, F_hi)`` must hold a stable and an unstable end.  The
     atomistic chain is stable when the minimum of the stability cubic over
     the discrete modes is positive; a coupled model is stable when its
-    Hessian is positive definite on zero-mean fields, which is whether its
-    pinned banded Cholesky succeeds.  Deterministic.
+    strain Hessian Q is positive definite, which is whether its banded
+    Cholesky succeeds (lambda_min <= A_F, see :func:`min_eig_numeric`).
+    Deterministic.
     """
     f_lo, f_hi = float(bracket[0]), float(bracket[1])
     if not 0 < f_lo < f_hi:
@@ -265,7 +274,7 @@ def critical_strain(
     if model == ModelKind.ATOMISTIC:
         stable = lambda F: fourier_spectrum(p, F, N).min_eigenvalue > 0  # noqa: E731
     else:
-        stable = lambda F: hessian(model, region, p, F).pinned_solver() is not None  # noqa: E731
+        stable = lambda F: strain_hessian(model, region, p, F).cholesky_solver() is not None  # noqa: E731
     lo_stable = stable(f_lo)
     if stable(f_hi) == lo_stable:
         state = "stable" if lo_stable else "unstable"
@@ -304,9 +313,10 @@ def rayleigh_quotient(
     F: float,
     u: PeriodicField,
 ) -> float:
-    """<H u, u> / ||Du||^2 at the uniform state y_F."""
-    h_op = hessian(model, region, p, F)
-    du = norm_l2eps(diff(u, 1))
-    if du == 0.0:
+    """<H u, u> / ||Du||^2 at the uniform state y_F, the quadratic form of the
+    strain Hessian on Du."""
+    du = diff(u, 1)
+    norm = norm_l2eps(du)
+    if norm == 0.0:
         raise ValueError("Rayleigh quotient of a constant field is undefined")
-    return h_op.quadratic_form(u) / du**2
+    return strain_hessian(model, region, p, F).quadratic_form(du) / norm**2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eamchain.lattice import ChainGrid
-from eamchain.models import ModelKind, RegionDecomposition, hessian
+from eamchain.models import ModelKind, RegionDecomposition, hessian, strain_hessian
 from eamchain.potentials import shipped_potential
 from eamchain.solver import NotPositiveDefiniteError, cosine_load, solve_linearized
 from eamchain.stability import (
@@ -43,9 +43,12 @@ def test_banded_backend_matches_dense_oracle(chain):
     lam0 = float(lam_dense[0])
     scale = max(1.0, float(np.max(np.abs(lam_dense))))
 
-    # definiteness on zero-mean fields is whether the pinned factorization succeeds
-    if abs(lam0) > 1e-9 * scale:
-        assert (h_op.pinned_solver() is not None) == (lam0 > 0)
+    # a coupled model's lambda_min never exceeds A_F, so definiteness on
+    # zero-mean fields is whether the strain Hessian's factorization succeeds
+    if model != ModelKind.ATOMISTIC:
+        assert lam0 <= coefficients(p, F).A + 1e-12 * scale
+        if abs(lam0) > 1e-9 * scale:
+            assert (strain_hessian(model, region, p, F).cholesky_solver() is not None) == (lam0 > 0)
 
     lam, mode = min_eig_numeric(model, region, p, F, region.N)
     assert lam == pytest.approx(lam0, abs=1e-11 * scale)

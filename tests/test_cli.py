@@ -1,6 +1,7 @@
 """Config parsing, command runs, CSV outputs, and determinism."""
 
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +272,31 @@ def test_potential_overflowing_at_the_uniform_state_exits_3(tmp_path, capsys, co
     err = capsys.readouterr().err
     assert "potential 'default-eam'" in err and "F=0.5" in err and str(pot) in err
     assert not out_dir.exists()
+
+
+def _steep_potential(tmp_path):
+    # exp(-2 alpha (F - 1)) overflows at F = 0.5 for alpha = 800
+    pot = tmp_path / "steep.pot"
+    pot.write_text(Path(POT).read_text().replace("alpha = 4.0", "alpha = 800.0"))
+    return str(pot)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command,extra",
+    [("spectrum", ["--F", "0.5"]), ("critical-strain", ["--F-range", "0.5:1.0"])],
+)
+def test_overflow_exits_3_without_a_warning(tmp_path, capsys, command, extra):
+    pot = _steep_potential(tmp_path)
+    args = ["--command", command, "--potential", pot, "--N", "16", "--K", "4", *extra]
+    assert run_cli(*args, "--out-dir", str(tmp_path / "out")) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_validate_fails_on_non_finite_forces(tmp_path, capsys):
+    pot = _steep_potential(tmp_path)
+    args = ["--command", "validate", "--potential", pot, "--F", "0.5", "--N", "16", "--K", "4"]
+    assert run_cli(*args, "--out-dir", str(tmp_path / "out")) == 1
+    out = capsys.readouterr().out
+    assert "FAIL ghost-force: max|g|/scale nan" in out
+    assert "FAIL gradient-vs-energy: max rel deviation nan" in out

@@ -142,6 +142,27 @@ def test_min_eig_matches_fourier(default_p):
         assert abs(np.mean(mode.values)) <= 1e-12 * np.max(np.abs(mode.values))
 
 
+def test_qnl_min_eig_is_a_f_to_roundoff_at_large_n(default_p):
+    # two deep-continuum bonds carry an exact A_F eigenvector, and the strain
+    # Hessian keeps entries of order one at N = 2^16
+    n = 2**16
+    lam, _ = min_eig_numeric(ModelKind.QNL, RegionDecomposition(n, 8), default_p, 1.1, n)
+    a_f = coefficients(default_p, 1.1).A
+    assert abs(lam - a_f) <= 1e-14 * a_f
+
+
+def test_atomistic_min_eig_is_the_fourier_minimum_at_large_n(default_p):
+    n = 2**16
+    region = RegionDecomposition(n, 8)
+    lam, mode = min_eig_numeric(ModelKind.ATOMISTIC, region, default_p, 1.05, n)
+    expected = fourier_spectrum(default_p, 1.05, n).min_eigenvalue
+    assert abs(lam - expected) <= 1e-14 * expected
+    assert norm_l2eps(diff(mode, 1)) == pytest.approx(1.0, rel=1e-14)
+    assert rayleigh_quotient(ModelKind.ATOMISTIC, region, default_p, 1.05, mode) == pytest.approx(
+        expected, rel=1e-12
+    )
+
+
 def test_qcl_min_eig_equals_modulus(default_p):
     for n in (16, 32):
         region = RegionDecomposition(n, 4)
