@@ -256,6 +256,7 @@ def _identity_deviation(u: PeriodicField) -> float:
     return max(abs(l - r) / max(abs(l), 1e-300) for l, r in pairs)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value shows as a FAIL line
 def _run_validate(cfg: ExperimentConfig) -> int:
     p = load_potential_file(cfg.potential)
     rng = np.random.default_rng(cfg.seed)

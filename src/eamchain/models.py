@@ -29,13 +29,16 @@ visits single atoms.
 
 Hessians are only built at the uniform state y_F, the point of the
 stability analysis.  There every term argument is F or 2F and every group
-of a template has one density, so each pair of bonds (a template slot
-pair) of an atom carries the same second derivative at every atom of its
-region class: a handful of scalars from phi'', rho', rho'' at F and 2F and
-G', G'' at the group densities.  A strain Hessian row is then fixed by the
-region classes of the atoms that reach it, so a layout compiled once per
-``(model, N, K)`` scatters these per-slot constants into the bands of each
-such row class by one ``np.bincount`` and gathers those bands to rows.
+of a template has one density, so an atom's second derivatives are the
+same at every atom of its region class and linear in two short feature
+lists over the templates: per term the curvature ``w c G' rho'' + phi''/2``
+and per pair of bonds (a, b) of one group ``w G'' L_a L_b``, with L_a the
+derivative of the group density by bond a.  They take phi'', rho, rho',
+rho'' at F and 2F and G', G'' at the group densities.  A strain Hessian row
+is fixed by the region classes of the atoms that reach it, so coefficient
+maps compiled once per ``(model, N, K)`` send the features into the bands
+of each such row class by one ``np.bincount``, and a gather spreads those
+bands to rows.
 
 Conventions: the model energy is the interaction energy per period (dead
 loads are handled in :mod:`eamchain.solver`).  Gradients g satisfy
@@ -165,10 +168,15 @@ class SymmetricBandedOperator:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Matrix-vector product with a full-period value array."""
         v = np.asarray(values, dtype=float)
+        n, width = self.bands.shape
+        w = width - 1
+        # periodic padding: entry i of a slice starting at w + s is index (i + s) % n
+        v_pad = np.concatenate([v[n - w :], v, v[:w]])
+        b_pad = np.concatenate([self.bands[n - w :], self.bands])
         out = self.bands[:, 0] * v
-        for j in range(1, self.bands.shape[1]):
-            out += self.bands[:, j] * np.roll(v, -j)
-            out += np.roll(self.bands[:, j] * v, j)
+        for j in range(1, width):
+            out += self.bands[:, j] * v_pad[w + j : w + j + n]
+            out += b_pad[w - j : w - j + n, j] * v_pad[w - j : w - j + n]
         return out
 
     def quadratic_form(self, u: PeriodicField) -> float:
@@ -232,15 +240,18 @@ def ring_solver(ab: np.ndarray):
     :meth:`SymmetricBandedOperator.ring_bands`), or None if it is not
     positive definite.  ``ab`` is overwritten by the factor."""
     n = ab.shape[1]
-    try:
-        factor = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+    factor, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
         return None
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
     _, order = _ring_layout(n, (ab.shape[0] + 1) // 2)
 
     def solve(b: np.ndarray) -> np.ndarray:
         x = np.empty(n)
-        x[order] = scipy.linalg.cho_solve_banded((factor, True), b[order], check_finite=False)
+        x[order], info = scipy.linalg.lapack.dpbtrs(factor, b[order], lower=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpbtrs")
         return x
 
     return solve
@@ -415,12 +426,6 @@ def gradient(
     return PeriodicField(y.grid, g, "residual")
 
 
-def _pairs(x: dict) -> list:
-    """Unordered pairs (a, x_a, b, x_b) with a <= b of a dict offset -> x."""
-    items = sorted(x.items())
-    return [(a, xa, b, xb) for i, (a, xa) in enumerate(items) for b, xb in items[i:]]
-
-
 def _site_bands_from_strain_bands(grid: ChainGrid, q: np.ndarray) -> np.ndarray:
     """Convert a strain-space band matrix Q into site space: H = D^T Q D."""
     n = grid.period_atoms
@@ -442,97 +447,96 @@ def _site_bands_from_strain_bands(grid: ChainGrid, q: np.ndarray) -> np.ndarray:
     return bands.T
 
 
-def _couplings(template) -> tuple:
-    """Bond-offset pairs (a, b), a <= b, that the energy of one atom of
-    ``template`` couples: any two bonds of one density group.  Offsets
-    within a template span at most 3, so pair (a, b) lands in band b - a."""
-    pairs = set()
-    for _, terms in template:
-        offsets = sorted({o for _, term_offsets in terms for o in term_offsets})
-        pairs.update((a, b) for i, a in enumerate(offsets) for b in offsets[i:])
-    return tuple(sorted(pairs))
+#: Bond offsets of every template relative to its atom.
+_OFFSETS = (-1, 0, 1, 2)
 
 
 class _HessianLayout(NamedTuple):
-    """Where one model's per-slot Hessian constants go, on one grid.
+    """One model's strain Hessian at y_F as a linear map of two feature
+    lists, on one grid.
 
-    ``blocks`` holds (template, couplings) per region class; the per-slot
-    constants are laid out block by block, coupling by coupling.  Row k of
-    the strain Hessian collects coupling (a, a + d) of atom k - a into band
-    d, so rows whose atoms k - a, over the offsets a, lie in the same region
-    classes have the same bands: row k belongs to row class
-    ``row_class[k]``.  Constant ``slots[e]`` adds to cell ``cells[e]`` =
-    row class * (w + 1) + d of the ``n_row_classes`` per-class bands.
+    Terms of all templates are laid out region class by class: term t has
+    group ``term_group[t]``, coefficient ``term_coeff[t]`` and argument
+    ``(1 + term_arg[t]) F``, and group g the weight ``group_weight[g]``.
+    Bond slot g * 4 + i is bond ``_OFFSETS[i]`` of group g; each bond of a
+    term, in table order, is one entry of ``bond_term`` and ``bond_slot``,
+    so one ``np.bincount`` sums the slopes ``c rho'`` into ``L``, the
+    derivatives of the group densities by their bonds.  The features are,
+    per term, the curvature ``w c G' rho'' + phi''/2`` and, per pair of bond
+    slots ``pair_slots[:, i]`` of one group, ``w G'' L L'``.
+
+    Row k of the strain Hessian collects coupling (a, a + d) of atom k - a
+    into band d, so rows whose atoms k - a, over the offsets a, lie in the
+    same region classes have the same bands: row k belongs to row class
+    ``row_class[k]``.  Feature ``feature[e]`` (terms first, then slot pairs)
+    times ``coeff[e]`` adds to cell ``cell[e]`` = row class * (w + 1) + d of
+    the ``n_row_classes`` per-class bands.
     """
 
-    blocks: tuple
+    group_weight: np.ndarray
+    term_group: np.ndarray
+    term_coeff: np.ndarray
+    term_arg: np.ndarray
+    bond_term: np.ndarray
+    bond_slot: np.ndarray
+    pair_slots: np.ndarray
     n_row_classes: int
-    cells: np.ndarray
-    slots: np.ndarray
+    cell: np.ndarray
+    feature: np.ndarray
+    coeff: np.ndarray
     row_class: np.ndarray
 
 
 @lru_cache(maxsize=64)
 def _hessian_layout(kind: ModelKind, N: int, K: int) -> _HessianLayout:
-    """Band layout of the strain Hessian of one model on one grid; read-only
+    """Feature maps of the strain Hessian of one model on one grid; read-only
     arrays.  QCL ignores K, as in :func:`_region_classes`."""
     classes = _region_classes(kind, N, K)
-    blocks = tuple((template, _couplings(template)) for template, _ in classes)
-    block_of = np.empty(2 * N, dtype=np.intp)
-    for i, (_, mask) in enumerate(classes):
-        block_of[mask] = i
-    offsets = sorted({a for _, pairs in blocks for a, _ in pairs})
-    base = len(blocks)
-    # row k's code: the region classes of its atoms k - a, one digit per offset
-    code = sum(np.roll(block_of, a) * base**i for i, a in enumerate(offsets))
-    codes, row_class = np.unique(code, return_inverse=True)
-    first_slot = np.cumsum([0] + [len(pairs) for _, pairs in blocks])
-    cells, slots = [], []
-    for c, row_code in enumerate(codes):
-        for i, a in enumerate(offsets):
-            block = row_code // base**i % base
-            for j, (pa, pb) in enumerate(blocks[block][1]):
-                if pa == a:
-                    cells.append(c * (STRAIN_HALF_BANDWIDTH + 1) + pb - pa)
-                    slots.append(first_slot[block] + j)
-    arrays = np.array(cells), np.array(slots), row_class.reshape(-1)
-    for a in arrays:
-        a.flags.writeable = False
-    return _HessianLayout(blocks, len(codes), *arrays)
-
-
-def _slot_constants(blocks, p: EAMPotential, F: float) -> np.ndarray:
-    """Strain Hessian constants at y_F of one atom per (block, coupling),
-    in layout order: G'' (ddbar/dr_a)(ddbar/dr_b) per pair of bonds of a
-    group and G' rho'' + phi''/2 per pair of bonds of a term.  A term's
-    argument is F or 2F by its number of bonds, so the potentials are
-    evaluated at those two strains and at the group densities only."""
-    at = np.array([F, 2.0 * F])
-    rho, rho1, rho2, phi2 = (_on(f, at).tolist() for f in (p.density.eval, p.density.d1, p.density.d2, p.pair.d2))
-    groups = [terms for template, _ in blocks for _, terms in template]
-    dbar = np.array([sum(c * rho[len(offsets) - 1] for c, offsets in terms) for terms in groups])
-    g1, g2 = (_on(f, dbar).tolist() for f in (p.embedding.d1, p.embedding.d2))
-    out = []
-    i = 0
-    for template, pairs in blocks:
-        q = dict.fromkeys(pairs, 0.0)
+    m = len(_OFFSETS)
+    group_weight, group_class, term_group, term_coeff, term_arg, counts, bond_term, bond_slot = ([] for _ in range(8))
+    for i, (template, _) in enumerate(classes):
         for w, terms in template:
-            wg1, wg2 = w * g1[i], w * g2[i]
-            i += 1
-            lin: dict[int, float] = {}
             for c, offsets in terms:
-                k = len(offsets) - 1
-                curv = wg1 * (c * rho2[k]) + HALF * phi2[k]
-                counts: dict[int, int] = {}
-                for o in offsets:
-                    lin[o] = lin.get(o, 0.0) + c * rho1[k]
-                    counts[o] = counts.get(o, 0) + 1
-                for a, ca, b, cb in _pairs(counts):
-                    q[a, b] += curv * ca * cb
-            for a, sa, b, sb in _pairs(lin):
-                q[a, b] += wg2 * sa * sb
-        out.extend(q[pair] for pair in pairs)
-    return np.array(out)
+                bond_term += [len(term_group)] * len(offsets)
+                bond_slot += [len(group_weight) * m + _OFFSETS.index(o) for o in offsets]
+                term_group.append(len(group_weight))
+                term_coeff.append(c)
+                term_arg.append(len(offsets) - 1)
+                counts.append([offsets.count(a) for a in _OFFSETS])
+            group_weight.append(w)
+            group_class.append(i)
+    slots = sorted(set(bond_slot))
+    pair_slots = np.array([(a, b) for a in slots for b in slots if a <= b and a // m == b // m]).T
+    # coefficient of each feature on the coupling (a_i, a_j) of its atom: the
+    # bond counts of its term multiplied, or one for its pair of bond slots
+    counts = np.array(counts, float)
+    left, right = pair_slots % m
+    pair_outer = np.zeros((len(left), m, m))
+    pair_outer[np.arange(len(left)), left, right] = 1.0
+    outer = np.concatenate([counts[:, :, None] * counts[:, None, :], pair_outer])
+    feature_class = np.array(group_class)[np.concatenate([term_group, pair_slots[0] // m])]
+    width = STRAIN_HALF_BANDWIDTH + 1
+    banded = np.zeros((m, width, len(outer)))  # [i, d, f]: coupling (a_i, a_i + d)
+    for d in range(width):
+        banded[: m - d, d] = np.diagonal(outer, d, axis1=1, axis2=2).T
+    class_of = np.empty(2 * N, dtype=np.intp)
+    for i, (_, mask) in enumerate(classes):
+        class_of[mask] = i
+    # row k's code: the region classes of its atoms k - a, one digit per offset
+    base = len(classes)
+    code = sum(np.roll(class_of, a) * base**i for i, a in enumerate(_OFFSETS))
+    codes, row_class = np.unique(code, return_inverse=True)
+    reaches = (codes[:, None] // base ** np.arange(m) % base)[:, :, None] == feature_class
+    dense = sum(reaches[:, i, None] * banded[i] for i in range(m)).reshape(len(codes) * width, -1)
+    cell, feature = np.nonzero(dense)
+    layout = _HessianLayout(
+        *(np.array(a) for a in (group_weight, term_group, term_coeff, term_arg, bond_term, bond_slot)),
+        pair_slots, len(codes), cell, feature, dense[cell, feature], row_class.reshape(-1),
+    )
+    for a in layout:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return layout
 
 
 def strain_hessian(
@@ -544,20 +548,32 @@ def strain_hessian(
     """Second variation at y_F in strain space: Q with H = D^T Q D, so
     ``d2E(y_F)[u, w] = eps * sum_l (Q Du)_l (Dw)_l``.
 
-    Only y_F Hessians are built (the analysis point), from a few per-slot
-    scalar constants; the atomistic and QCL models read just the size N
-    from ``region``.  No model has a ghost force at a uniform state, so
-    ``Q 1 = A_F 1`` (A_F the continuum modulus).  Raises NonFiniteError if
-    a constant is not finite.
+    Only y_F Hessians are built (the analysis point), from a few features
+    per template term and bond pair; the atomistic and QCL models read just
+    the size N from ``region``.  No model has a ghost force at a uniform
+    state, so ``Q 1 = A_F 1`` (A_F the continuum modulus).  Raises
+    NonFiniteError if a feature is not finite.
     """
     if not F > 0:
         raise ValueError(f"deformation gradient must be positive, got F={F}")
     layout = _hessian_layout(model, region.N, region.K if model == ModelKind.QNL else -1)
+    coeff = layout.term_coeff
+    n_groups = len(layout.group_weight)
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
-        consts = _slot_constants(layout.blocks, p, F)
-    require_finite(p, F, "strain Hessian", consts)
+        at = np.array([F, 2.0 * F])
+        rho, rho1, rho2, phi2 = (
+            _on(f, at)[layout.term_arg] for f in (p.density.eval, p.density.d1, p.density.d2, p.pair.d2)
+        )
+        dbar = np.bincount(layout.term_group, coeff * rho, n_groups)
+        wg1 = (layout.group_weight * _on(p.embedding.d1, dbar))[layout.term_group]
+        wg2 = layout.group_weight * _on(p.embedding.d2, dbar)
+        lin = np.bincount(layout.bond_slot, (coeff * rho1)[layout.bond_term], n_groups * len(_OFFSETS))
+        left, right = layout.pair_slots
+        pairs = (np.repeat(wg2, len(_OFFSETS)) * lin)[left] * lin[right]
+        features = np.concatenate([wg1 * (coeff * rho2) + HALF * phi2, pairs])
+    require_finite(p, F, "strain Hessian", features)
     width = STRAIN_HALF_BANDWIDTH + 1
-    per_class = np.bincount(layout.cells, consts[layout.slots], layout.n_row_classes * width)
+    per_class = np.bincount(layout.cell, layout.coeff * features[layout.feature], layout.n_row_classes * width)
     return SymmetricBandedOperator(ChainGrid(region.N), per_class.reshape(-1, width)[layout.row_class])
 
 

@@ -194,10 +194,12 @@ def min_eig_numeric(
     upper end.  Shifts below it lower the upper end while definiteness
     fails and become the lower end once it holds, starting at the Aitken
     estimate dec2^2 / (dec1 - dec2) of the quotient's remaining error from
-    its two decrements (when they shrink) and 4 times further each time.
-    Bisection then closes the bracket to ~1e-14 relative; the mode
-    integrates one inverse-iteration step from the start vector with the
-    factor at the final lower end.
+    its two decrements (when they shrink) and 4 times further each time;
+    when both decrements are within the bisection tolerance (QCL, whose Q
+    is A_F I), one probe a tolerance below the quotient.  Bisection then
+    closes the bracket to ~1e-14 relative; the mode integrates one
+    inverse-iteration step from the start vector with the factor at the
+    final lower end.
     """
     if region.N != N:
         raise ValueError(f"region size {region.N} does not match N={N}")
@@ -239,13 +241,18 @@ def min_eig_numeric(
     dec1, dec2 = hi - rq1, rq1 - rq2
     hi = min(hi, rq2)
     tol = 1e-14 * max(1.0, abs(lo), abs(hi))
-    delta = max(dec2 * dec2 / (dec1 - dec2), tol) if 0 < dec2 < dec1 else math.inf
+    if max(abs(dec1), abs(dec2)) <= tol:  # converged: one probe just below
+        delta, growth = tol, math.inf
+    elif 0 < dec2 < dec1:
+        delta, growth = max(dec2 * dec2 / (dec1 - dec2), tol), 4.0
+    else:
+        delta = growth = math.inf
     while hi - delta > lo:
         if definite(hi - delta):
             lo = hi - delta
             break
         hi -= delta
-        delta *= 4.0
+        delta *= growth
     lo, hi = _bisect(definite, lo, hi, tol)
     mode = displacement_from_strain(grid, inverse_step(start))
     return 0.5 * (lo + hi), mode * (1.0 / norm_l2eps(diff(mode, 1)))

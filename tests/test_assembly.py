@@ -1,6 +1,6 @@
 """Array term tables against the per-site loop oracle, and model invariants,
-on drawn (material, model, N, K, deformed state); y_F Hessians from per-slot
-constants against the loop oracle at r = F."""
+on drawn (material, model, N, K, deformed state); y_F Hessians from compiled
+feature maps against the loop oracle at r = F."""
 
 import numpy as np
 import pytest
@@ -161,7 +161,20 @@ def test_small_chain_hessians_match_loop_oracle(chain):
 
 def test_cached_layouts_are_read_only():
     layout = _hessian_layout(ModelKind.QNL, 16, 4)
-    arrays = [layout.cells, layout.slots, layout.row_class, *_ring_layout(32, 5)]
+    arrays = [
+        layout.group_weight,
+        layout.term_group,
+        layout.term_coeff,
+        layout.term_arg,
+        layout.bond_term,
+        layout.bond_slot,
+        layout.pair_slots,
+        layout.cell,
+        layout.feature,
+        layout.coeff,
+        layout.row_class,
+        *_ring_layout(32, 5),
+    ]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):

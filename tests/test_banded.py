@@ -1,4 +1,5 @@
-"""The banded backend against the dense oracle on drawn (material, model, N, K, F)."""
+"""The banded backend against the dense oracle on drawn (material, model, N, K, F),
+and the banded product against the dense one."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eamchain.lattice import ChainGrid
-from eamchain.models import ModelKind, RegionDecomposition, hessian, strain_hessian
+from eamchain.models import ModelKind, RegionDecomposition, SymmetricBandedOperator, hessian, strain_hessian
 from eamchain.potentials import shipped_potential
 from eamchain.solver import NotPositiveDefiniteError, cosine_load, solve_linearized
 from eamchain.stability import (
@@ -63,3 +64,14 @@ def test_banded_backend_matches_dense_oracle(chain):
         basis = zero_mean_basis(grid.period_atoms)
         x = basis @ np.linalg.solve(basis.T @ h_dense @ basis, basis.T @ load.field.values)
         np.testing.assert_allclose(u, x, rtol=0, atol=1e-11 * np.max(np.abs(x)))
+
+
+@pytest.mark.parametrize("N,w", [(4, 3), (4, 4), (5, 4), (16, 3), (16, 4)])
+def test_apply_matches_dense_product(rng, N, w):
+    # at N = 4, w = 4 the offset-4 entries of rows i and i + 4 couple one pair
+    grid = ChainGrid(N)
+    n = grid.period_atoms
+    op = SymmetricBandedOperator(grid, rng.standard_normal((n, w + 1)))
+    v = rng.standard_normal(n)
+    dense = op.to_dense()
+    np.testing.assert_allclose(op.apply(v), dense @ v, rtol=0, atol=1e-14 * np.max(np.abs(dense) @ np.abs(v)))

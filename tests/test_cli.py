@@ -293,6 +293,7 @@ def test_overflow_exits_3_without_a_warning(tmp_path, capsys, command, extra):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 def test_validate_fails_on_non_finite_forces(tmp_path, capsys):
     pot = _steep_potential(tmp_path)
     args = ["--command", "validate", "--potential", pot, "--F", "0.5", "--N", "16", "--K", "4"]
