@@ -29,16 +29,14 @@ visits single atoms.
 
 Hessians are only built at the uniform state y_F, the point of the
 stability analysis.  There every term argument is F or 2F and every group
-of a template has one density, so an atom's second derivatives are the
-same at every atom of its region class and linear in two short feature
-lists over the templates: per term the curvature ``w c G' rho'' + phi''/2``
-and per pair of bonds (a, b) of one group ``w G'' L_a L_b``, with L_a the
-derivative of the group density by bond a.  They take phi'', rho, rho',
-rho'' at F and 2F and G', G'' at the group densities.  A strain Hessian row
-is fixed by the region classes of the atoms that reach it, so coefficient
-maps compiled once per ``(model, N, K)`` send the features into the bands
-of each such row class by one ``np.bincount``, and a gather spreads those
-bands to rows.
+of every template has the density 2 rho(F) + 2 rho(2F), so the potential
+enters only through seven scalars: phi''(F), phi''(2F), G' rho''(F),
+G' rho''(2F), G'' rho'(F)^2, G'' rho'(F) rho'(2F) and G'' rho'(2F)^2.  A
+strain Hessian row is fixed by the region classes of the atoms that reach
+it, so a basis of exact small rationals, compiled once per
+``(model, N, K)``, maps the seven scalars to the bands of each such row
+class by one matrix-vector product, and a gather spreads those bands to
+rows.
 
 Conventions: the model energy is the interaction energy per period (dead
 loads are handled in :mod:`eamchain.solver`).  Gradients g satisfy
@@ -127,8 +125,8 @@ class Deformation:
     displacement: PeriodicField
 
     def __post_init__(self) -> None:
-        if not self.F > 0:
-            raise ValueError(f"deformation gradient must be positive, got F={self.F}")
+        if not 0 < self.F < np.inf:
+            raise ValueError(f"deformation gradient must be finite and positive, got F={self.F}")
         if self.displacement.kind != "displacement":
             raise ValueError("deformation needs a displacement-kind field")
 
@@ -451,74 +449,44 @@ def _site_bands_from_strain_bands(grid: ChainGrid, q: np.ndarray) -> np.ndarray:
 _OFFSETS = (-1, 0, 1, 2)
 
 
-class _HessianLayout(NamedTuple):
-    """One model's strain Hessian at y_F as a linear map of two feature
-    lists, on one grid.
-
-    Terms of all templates are laid out region class by class: term t has
-    group ``term_group[t]``, coefficient ``term_coeff[t]`` and argument
-    ``(1 + term_arg[t]) F``, and group g the weight ``group_weight[g]``.
-    Bond slot g * 4 + i is bond ``_OFFSETS[i]`` of group g; each bond of a
-    term, in table order, is one entry of ``bond_term`` and ``bond_slot``,
-    so one ``np.bincount`` sums the slopes ``c rho'`` into ``L``, the
-    derivatives of the group densities by their bonds.  The features are,
-    per term, the curvature ``w c G' rho'' + phi''/2`` and, per pair of bond
-    slots ``pair_slots[:, i]`` of one group, ``w G'' L L'``.
-
-    Row k of the strain Hessian collects coupling (a, a + d) of atom k - a
-    into band d, so rows whose atoms k - a, over the offsets a, lie in the
-    same region classes have the same bands: row k belongs to row class
-    ``row_class[k]``.  Feature ``feature[e]`` (terms first, then slot pairs)
-    times ``coeff[e]`` adds to cell ``cell[e]`` = row class * (w + 1) + d of
-    the ``n_row_classes`` per-class bands.
-    """
-
-    group_weight: np.ndarray
-    term_group: np.ndarray
-    term_coeff: np.ndarray
-    term_arg: np.ndarray
-    bond_term: np.ndarray
-    bond_slot: np.ndarray
-    pair_slots: np.ndarray
-    n_row_classes: int
-    cell: np.ndarray
-    feature: np.ndarray
-    coeff: np.ndarray
-    row_class: np.ndarray
+#: The seven potential scalars the strain Hessian at y_F is linear in, in the
+#: order of :func:`_uniform_scalars`.
+_N_SCALARS = 7
 
 
 @lru_cache(maxsize=64)
-def _hessian_layout(kind: ModelKind, N: int, K: int) -> _HessianLayout:
-    """Feature maps of the strain Hessian of one model on one grid; read-only
-    arrays.  QCL ignores K, as in :func:`_region_classes`."""
+def _hessian_layout(kind: ModelKind, N: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strain Hessian of one model on one grid as a linear map of the seven
+    scalars of :func:`_uniform_scalars`; read-only (basis, row_class).
+
+    An atom's second derivatives by its bonds ``_OFFSETS`` are one 4 x 4
+    element matrix per scalar, exact small rationals summed over its
+    template: per term with bond counts n, ``phi''/2`` and ``w c G' rho''``
+    on n n^T; per group, ``w G''`` on L L^T, where the group density's bond
+    derivatives L split by rho'(F) and rho'(2F).  Row k of the strain
+    Hessian collects coupling (a, a + d) of atom k - a into band d, so rows
+    whose atoms k - a lie in the same region classes have the same bands:
+    row k belongs to row class ``c = row_class[k]``, whose band d is
+    ``basis[4 c + d] @ scalars``.  QCL ignores K, as in
+    :func:`_region_classes`.
+    """
     classes = _region_classes(kind, N, K)
     m = len(_OFFSETS)
-    group_weight, group_class, term_group, term_coeff, term_arg, counts, bond_term, bond_slot = ([] for _ in range(8))
+    element = np.zeros((len(classes), _N_SCALARS, m, m))
     for i, (template, _) in enumerate(classes):
         for w, terms in template:
+            slope = np.zeros((2, m))  # by rho'(F), rho'(2F)
             for c, offsets in terms:
-                bond_term += [len(term_group)] * len(offsets)
-                bond_slot += [len(group_weight) * m + _OFFSETS.index(o) for o in offsets]
-                term_group.append(len(group_weight))
-                term_coeff.append(c)
-                term_arg.append(len(offsets) - 1)
-                counts.append([offsets.count(a) for a in _OFFSETS])
-            group_weight.append(w)
-            group_class.append(i)
-    slots = sorted(set(bond_slot))
-    pair_slots = np.array([(a, b) for a in slots for b in slots if a <= b and a // m == b // m]).T
-    # coefficient of each feature on the coupling (a_i, a_j) of its atom: the
-    # bond counts of its term multiplied, or one for its pair of bond slots
-    counts = np.array(counts, float)
-    left, right = pair_slots % m
-    pair_outer = np.zeros((len(left), m, m))
-    pair_outer[np.arange(len(left)), left, right] = 1.0
-    outer = np.concatenate([counts[:, :, None] * counts[:, None, :], pair_outer])
-    feature_class = np.array(group_class)[np.concatenate([term_group, pair_slots[0] // m])]
-    width = STRAIN_HALF_BANDWIDTH + 1
-    banded = np.zeros((m, width, len(outer)))  # [i, d, f]: coupling (a_i, a_i + d)
-    for d in range(width):
-        banded[: m - d, d] = np.diagonal(outer, d, axis1=1, axis2=2).T
+                arg = len(offsets) - 1  # argument F or 2F
+                count = np.array([offsets.count(a) for a in _OFFSETS], float)
+                outer = np.outer(count, count)
+                element[i, arg] += HALF * outer
+                element[i, 2 + arg] += w * c * outer
+                slope[arg] += c * count
+            u, v = slope
+            element[i, 4] += w * np.outer(u, u)
+            element[i, 5] += w * (np.outer(u, v) + np.outer(v, u))
+            element[i, 6] += w * np.outer(v, v)
     class_of = np.empty(2 * N, dtype=np.intp)
     for i, (_, mask) in enumerate(classes):
         class_of[mask] = i
@@ -526,17 +494,31 @@ def _hessian_layout(kind: ModelKind, N: int, K: int) -> _HessianLayout:
     base = len(classes)
     code = sum(np.roll(class_of, a) * base**i for i, a in enumerate(_OFFSETS))
     codes, row_class = np.unique(code, return_inverse=True)
-    reaches = (codes[:, None] // base ** np.arange(m) % base)[:, :, None] == feature_class
-    dense = sum(reaches[:, i, None] * banded[i] for i in range(m)).reshape(len(codes) * width, -1)
-    cell, feature = np.nonzero(dense)
-    layout = _HessianLayout(
-        *(np.array(a) for a in (group_weight, term_group, term_coeff, term_arg, bond_term, bond_slot)),
-        pair_slots, len(codes), cell, feature, dense[cell, feature], row_class.reshape(-1),
-    )
-    for a in layout:
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
-    return layout
+    digits = codes[:, None] // base ** np.arange(m) % base
+    basis = np.zeros((len(codes), STRAIN_HALF_BANDWIDTH + 1, _N_SCALARS))
+    for d in range(STRAIN_HALF_BANDWIDTH + 1):
+        for i in range(m - d):
+            basis[:, d] += element[digits[:, i], :, i, i + d]
+    basis = basis.reshape(-1, _N_SCALARS)
+    for a in (basis, row_class):
+        a.flags.writeable = False
+    return basis, row_class
+
+
+def _uniform_scalars(p: EAMPotential, F: float) -> np.ndarray:
+    """phi''(F), phi''(2F), G' rho''(F), G' rho''(2F), G'' rho'(F)^2,
+    G'' rho'(F) rho'(2F) and G'' rho'(2F)^2 at y_F, where every group of
+    every template has the density 2 rho(F) + 2 rho(2F).  Raises
+    NonFiniteError if one is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
+        at = np.array([F, 2.0 * F])
+        phi2, rho, rho1, rho2 = (_on(f, at) for f in (p.pair.d2, p.density.eval, p.density.d1, p.density.d2))
+        dbar = 2.0 * rho[0] + 2.0 * rho[1]
+        g1, g2 = p.embedding.d1(dbar), p.embedding.d2(dbar)
+        r1, r1_2 = rho1
+        scalars = np.array([*phi2, *(g1 * rho2), g2 * r1 * r1, g2 * r1 * r1_2, g2 * r1_2 * r1_2], dtype=float)
+    require_finite(p, F, "strain Hessian", scalars)
+    return scalars
 
 
 def strain_hessian(
@@ -548,33 +530,17 @@ def strain_hessian(
     """Second variation at y_F in strain space: Q with H = D^T Q D, so
     ``d2E(y_F)[u, w] = eps * sum_l (Q Du)_l (Dw)_l``.
 
-    Only y_F Hessians are built (the analysis point), from a few features
-    per template term and bond pair; the atomistic and QCL models read just
+    Only y_F Hessians are built (the analysis point), as a compiled basis
+    times seven potential scalars; the atomistic and QCL models read just
     the size N from ``region``.  No model has a ghost force at a uniform
     state, so ``Q 1 = A_F 1`` (A_F the continuum modulus).  Raises
-    NonFiniteError if a feature is not finite.
+    NonFiniteError if a scalar is not finite.
     """
-    if not F > 0:
-        raise ValueError(f"deformation gradient must be positive, got F={F}")
-    layout = _hessian_layout(model, region.N, region.K if model == ModelKind.QNL else -1)
-    coeff = layout.term_coeff
-    n_groups = len(layout.group_weight)
-    with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
-        at = np.array([F, 2.0 * F])
-        rho, rho1, rho2, phi2 = (
-            _on(f, at)[layout.term_arg] for f in (p.density.eval, p.density.d1, p.density.d2, p.pair.d2)
-        )
-        dbar = np.bincount(layout.term_group, coeff * rho, n_groups)
-        wg1 = (layout.group_weight * _on(p.embedding.d1, dbar))[layout.term_group]
-        wg2 = layout.group_weight * _on(p.embedding.d2, dbar)
-        lin = np.bincount(layout.bond_slot, (coeff * rho1)[layout.bond_term], n_groups * len(_OFFSETS))
-        left, right = layout.pair_slots
-        pairs = (np.repeat(wg2, len(_OFFSETS)) * lin)[left] * lin[right]
-        features = np.concatenate([wg1 * (coeff * rho2) + HALF * phi2, pairs])
-    require_finite(p, F, "strain Hessian", features)
-    width = STRAIN_HALF_BANDWIDTH + 1
-    per_class = np.bincount(layout.cell, layout.coeff * features[layout.feature], layout.n_row_classes * width)
-    return SymmetricBandedOperator(ChainGrid(region.N), per_class.reshape(-1, width)[layout.row_class])
+    if not 0 < F < np.inf:
+        raise ValueError(f"deformation gradient must be finite and positive, got F={F}")
+    basis, row_class = _hessian_layout(model, region.N, region.K if model == ModelKind.QNL else -1)
+    bands = (basis @ _uniform_scalars(p, F)).reshape(-1, STRAIN_HALF_BANDWIDTH + 1)
+    return SymmetricBandedOperator(ChainGrid(region.N), bands[row_class])
 
 
 def hessian(

@@ -102,8 +102,8 @@ def coefficients(p: EAMPotential, F: float) -> StabilityCoefficients:
     2 rho(F) + 2 rho(2F).  For a pure pair potential only A_tilde survives.
     Raises NonFiniteError if a coefficient is not finite.
     """
-    if not F > 0:
-        raise ValueError(f"strain must be positive, got F={F}")
+    if not 0 < F < math.inf:
+        raise ValueError(f"strain must be finite and positive, got F={F}")
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
         dbar = mean_field_density(p, F)
         phi2_F = p.pair.d2(F)
@@ -275,8 +275,10 @@ def critical_strain(
     Cholesky succeeds (lambda_min <= A_F, see :func:`min_eig_numeric`).
     Deterministic.
     """
+    if region.N != N:
+        raise ValueError(f"region size {region.N} does not match N={N}")
     f_lo, f_hi = float(bracket[0]), float(bracket[1])
-    if not 0 < f_lo < f_hi:
+    if not 0 < f_lo < f_hi < math.inf:
         raise BracketError(f"bad bracket ({f_lo}, {f_hi})")
     if model == ModelKind.ATOMISTIC:
         stable = lambda F: fourier_spectrum(p, F, N).min_eigenvalue > 0  # noqa: E731

@@ -1,11 +1,13 @@
 """Stability coefficients, spectra, eigensolves, and critical strains."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
 
 from eamchain.lattice import ChainGrid, diff, norm_l2eps
-from eamchain.models import ModelKind, RegionDecomposition, hessian
+from eamchain.models import Deformation, ModelKind, RegionDecomposition, hessian, strain_hessian
 from eamchain.potentials import (
     EAMPotential,
     NonFiniteError,
@@ -67,6 +69,22 @@ def test_coefficients_against_symbolic_oracle(default_p):
     assert c.A == c.A_hat + c.A_tilde
     with pytest.raises(ValueError):
         coefficients(default_p, -1.0)
+
+
+@pytest.mark.parametrize("F", [math.inf, math.nan, 0.0])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p, F: coefficients(p, F),
+        lambda p, F: strain_hessian(ModelKind.QNL, RegionDecomposition(16, 4), p, F),
+        lambda p, F: Deformation.uniform(ChainGrid(16), F),
+    ],
+    ids=["coefficients", "strain_hessian", "Deformation"],
+)
+def test_strain_must_be_finite_and_positive(default_p, build, F):
+    # at F = inf the Hessian and the coefficients came out all zero
+    with pytest.raises(ValueError, match=f"F={F}"):
+        build(default_p, F)
 
 
 def test_coefficient_sign_relations(default_p):
@@ -298,6 +316,19 @@ def test_critical_strain_bad_bracket(default_p):
     region = RegionDecomposition(16, 4)
     with pytest.raises(BracketError):
         critical_strain(ModelKind.ATOMISTIC, region, default_p, 16, (1.0, 1.02))
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_critical_strain_rejects_non_finite_bracket_end(default_p, model):
+    # an infinite upper end used to keep the bisection midpoint at inf forever
+    with pytest.raises(BracketError, match="inf"):
+        critical_strain(model, RegionDecomposition(16, 4), default_p, 16, (1.0, math.inf))
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_critical_strain_rejects_region_size_mismatch(default_p, model):
+    with pytest.raises(ValueError, match="region size 64 does not match N=128"):
+        critical_strain(model, RegionDecomposition(64, 8), default_p, 128, (1.0, 1.15))
 
 
 def test_critical_strain_atomistic_gap_shrinks(default_p):
