@@ -5,8 +5,8 @@ operators, norms, strain Fourier analysis), :mod:`~eamchain.potentials`
 (scalar potential triples and assumption checks), :mod:`~eamchain.models`
 (the three chain energies with exact gradients and Hessians),
 :mod:`~eamchain.stability` (stability coefficients, spectra, critical
-strains), :mod:`~eamchain.solver` (linearized solves, consistency residuals,
-rate studies), and :mod:`~eamchain.cli` (batch experiment driver).
+strains), :mod:`~eamchain.solver` (linearized solves, consistency negative
+norms, rate studies), and :mod:`~eamchain.cli` (batch experiment driver).
 """
 
 from .lattice import (
@@ -42,10 +42,8 @@ from .solver import (
     ConvergenceRecord,
     DeadLoad,
     NotPositiveDefiniteError,
-    consistency_residual,
     convergence_study,
     cosine_load,
-    negative_norm,
     solve_linearized,
 )
 from .stability import (

@@ -56,7 +56,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import ChainGrid, PeriodicField, diff
 from .potentials import EAMPotential, require_finite
@@ -70,8 +69,8 @@ __all__ = [
     "energy",
     "gradient",
     "strain_hessian",
+    "strain_hessian_blocks",
     "hessian",
-    "ring_solver",
     "force_scale",
 ]
 
@@ -195,64 +194,6 @@ class SymmetricBandedOperator:
             out[idx, (idx + j) % n] += self.bands[:, j]
             out[(idx + j) % n, idx] += self.bands[:, j]
         return out
-
-    def ring_bands(self) -> np.ndarray:
-        """Lower band storage ``ab[d, k] = A[k + d, k]``, d = 0..2w, of the
-        operator with its entries in ring order 0, n-1, 1, n-2, ..., which
-        turns half-bandwidth w into a plain band of half-width 2w; a fresh
-        Fortran-ordered array, as LAPACK stores it.  ``np.bincount`` sums the
-        two entries that are one pair when 2w >= n, as ``to_dense`` does."""
-        n, width = self.bands.shape
-        cells, _ = _ring_layout(n, width)
-        return np.bincount(cells, self.bands.ravel(), (2 * width - 1) * n).reshape(n, -1).T
-
-    def cholesky_solver(self):
-        """Banded Cholesky solve, or None if the operator is not positive
-        definite."""
-        return ring_solver(self.ring_bands())
-
-
-@lru_cache(maxsize=16)
-def _ring_layout(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ring ordering of an n-entry operator with ``width`` bands.
-
-    Entry i sits at ring position 2i in the first half and 2(n-1-i)+1 in the
-    second.  Returns (cells, order): ``cells`` is the flat index
-    k * (2 width - 1) + d of ring band storage ``ab[d, k]`` (column-major)
-    of every ``bands[i, j]`` entry (row-major), and ``order`` the entry at
-    each ring position.  Read-only.
-    """
-    i = np.arange(n)
-    position = np.where(i < (n + 1) // 2, 2 * i, 2 * (n - 1 - i) + 1)
-    rows, offsets = np.indices((n, width))
-    p, q = position[rows], position[(rows + offsets) % n]
-    cells = (np.minimum(p, q) * (2 * width - 1) + np.abs(p - q)).ravel()
-    order = np.argsort(position)
-    for a in (cells, order):
-        a.flags.writeable = False
-    return cells, order
-
-
-def ring_solver(ab: np.ndarray):
-    """Cholesky solve of the operator whose ring band storage is ``ab`` (see
-    :meth:`SymmetricBandedOperator.ring_bands`), or None if it is not
-    positive definite.  ``ab`` is overwritten by the factor."""
-    n = ab.shape[1]
-    factor, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
-    if info > 0:
-        return None
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
-    _, order = _ring_layout(n, (ab.shape[0] + 1) // 2)
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        x = np.empty(n)
-        x[order], info = scipy.linalg.lapack.dpbtrs(factor, b[order], lower=1)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dpbtrs")
-        return x
-
-    return solve
 
 
 # --------------------------------------------------------------------------
@@ -505,6 +446,25 @@ def _hessian_layout(kind: ModelKind, N: int, K: int) -> tuple[np.ndarray, np.nda
     return basis, row_class
 
 
+@lru_cache(maxsize=64)
+def _core_rows(kind: ModelKind, N: int, K: int) -> np.ndarray:
+    """Rows of the strain Hessian with a nonzero off-diagonal band in the
+    basis of :func:`_hessian_layout`, and the rows those bands couple to, as
+    one cyclic run: 2K+4 rows for QNL, none for QCL, all for the atomistic
+    chain.  Every other row is diagonal with one basis row, A_F.  Read-only.
+    """
+    basis, row_class = _hessian_layout(kind, N, K)
+    n = 2 * N
+    coupled = basis.reshape(-1, STRAIN_HALF_BANDWIDTH + 1, _N_SCALARS)[:, 1:].any(axis=2)
+    rows, d = np.nonzero(coupled[row_class])
+    mask = np.zeros(n, bool)
+    mask[rows] = mask[(rows + d + 1) % n] = True
+    start = np.argmax(mask & ~np.roll(mask, 1))  # 0 if all or none
+    core = (start + np.arange(np.count_nonzero(mask))) % n
+    core.flags.writeable = False
+    return core
+
+
 def _uniform_scalars(p: EAMPotential, F: float) -> np.ndarray:
     """phi''(F), phi''(2F), G' rho''(F), G' rho''(2F), G'' rho'(F)^2,
     G'' rho'(F) rho'(2F) and G'' rho'(2F)^2 at y_F, where every group of
@@ -536,11 +496,36 @@ def strain_hessian(
     state, so ``Q 1 = A_F 1`` (A_F the continuum modulus).  Raises
     NonFiniteError if a scalar is not finite.
     """
+    class_bands, row_class, _ = _class_bands(model, region, p, F)
+    return SymmetricBandedOperator(ChainGrid(region.N), class_bands[row_class])
+
+
+def strain_hessian_blocks(
+    model: ModelKind,
+    region: RegionDecomposition,
+    p: EAMPotential,
+    F: float,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Strain Hessian of a coupled model as a core block plus A_F I:
+    (core rows, their bands, A_F), with ``core_bands.T`` the block in LAPACK
+    lower band storage.  Gathers only the core rows and A_F, so the cost
+    does not grow with N.  The circulant atomistic one has no A_F block.
+    """
+    if model == ModelKind.ATOMISTIC:
+        raise ValueError("the atomistic strain Hessian has no continuum block")
+    class_bands, row_class, K = _class_bands(model, region, p, F)
+    core = _core_rows(model, region.N, K)
+    continuum_row = (core[-1] + 1) % len(row_class) if len(core) else 0
+    return core, class_bands[row_class[core]], float(class_bands[row_class[continuum_row], 0])
+
+
+def _class_bands(model: ModelKind, region: RegionDecomposition, p: EAMPotential, F: float):
+    """(bands of each row class at y_F, row_class, layout K)."""
     if not 0 < F < np.inf:
         raise ValueError(f"deformation gradient must be finite and positive, got F={F}")
-    basis, row_class = _hessian_layout(model, region.N, region.K if model == ModelKind.QNL else -1)
-    bands = (basis @ _uniform_scalars(p, F)).reshape(-1, STRAIN_HALF_BANDWIDTH + 1)
-    return SymmetricBandedOperator(ChainGrid(region.N), bands[row_class])
+    K = region.K if model == ModelKind.QNL else -1
+    basis, row_class = _hessian_layout(model, region.N, K)
+    return (basis @ _uniform_scalars(p, F)).reshape(-1, STRAIN_HALF_BANDWIDTH + 1), row_class, K
 
 
 def hessian(

@@ -8,8 +8,8 @@ minus of the equilibrium equations cancels).  Solves run in strain space,
 where the entries and the condition number of the strain Hessian Q
 (H = D^T Q D) stay of order one at every N: integrating once gives the
 stress S = -eps * cumsum(f), and r = Du solves ``Q r = S - mean S``, since
-Q 1 = A_F 1 keeps zero-sum strains zero-sum.  One banded Cholesky
-factorization of Q is both the solve and the definiteness check.
+Q 1 = A_F 1 keeps zero-sum strains zero-sum.  One call of
+:func:`~eamchain.stability.strain_solver` is both the solve and the definiteness check.
 
 The modeling error of the coupled chain is driven by the stress difference
 ``sigma = (Q_qnl - Q_atomistic) r_atomistic``; the consistency residual is
@@ -30,7 +30,7 @@ import numpy as np
 from .lattice import ChainGrid, PeriodicField, diff, displacement_from_strain, norm_l2eps, norm_region
 from .models import ModelKind, RegionDecomposition, strain_hessian
 from .potentials import EAMPotential
-from .stability import coefficients, min_eig_numeric
+from .stability import coefficients, min_eig_numeric, strain_solver
 
 __all__ = [
     "DeadLoad",
@@ -39,8 +39,6 @@ __all__ = [
     "SolveError",
     "cosine_load",
     "solve_linearized",
-    "consistency_residual",
-    "negative_norm",
     "consistency_point",
     "convergence_study",
     "fixed_k_rule",
@@ -122,15 +120,15 @@ def _strain_solution(
     """Zero-sum strain r = Du of the linearized equilibrium under ``load``.
 
     Q is positive definite exactly when A_F > 0 and H is positive definite
-    on zero-mean fields: NotPositiveDefiniteError if its factorization
-    fails, SolveError if the backward error ||Q r - S|| / (||Q|| ||r|| +
-    ||S||), in infinity norms, exceeds RESIDUAL_RTOL.
+    on zero-mean fields: NotPositiveDefiniteError if it is not, SolveError
+    if the backward error ||Q r - S|| / (||Q|| ||r|| + ||S||), in infinity
+    norms, exceeds RESIDUAL_RTOL.
     """
     grid = load.field.grid
     if region.N != grid.N:
         raise ValueError("region and load live on different sizes")
     q_op = strain_hessian(model, region, p, F)
-    solve = q_op.cholesky_solver()
+    solve = strain_solver(model, region, p, F)
     if solve is None:
         raise NotPositiveDefiniteError(
             f"{model.value} solve at F={F}, N={grid.N}: the strain Hessian is not positive "
@@ -161,55 +159,6 @@ def solve_linearized(
     the model is unstable at (F, N) and SolveError when the strain solve
     fails its backward-error check."""
     return displacement_from_strain(load.field.grid, _strain_solution(model, region, p, F, load))
-
-
-def _stress_difference(region: RegionDecomposition, p: EAMPotential, F: float, r_a: np.ndarray):
-    """sigma = (Q_qnl - Q_atomistic) r_a."""
-    q_qnl = strain_hessian(ModelKind.QNL, region, p, F)
-    q_atom = strain_hessian(ModelKind.ATOMISTIC, region, p, F)
-    return q_qnl.apply(r_a) - q_atom.apply(r_a)
-
-
-def consistency_residual(
-    region: RegionDecomposition,
-    p: EAMPotential,
-    F: float,
-    u_a: PeriodicField,
-) -> PeriodicField:
-    """Action difference T = (H_qnl - H_atomistic) u_a = D^T sigma of the
-    two second variations on the atomistic solution, with the stress
-    difference sigma = (Q_qnl - Q_atomistic) D u_a.  Vanishes identically
-    wherever the coupled and exact stencils agree, so T is supported in the
-    continuum and near the interface.
-    """
-    if u_a.kind != "displacement":
-        raise ValueError("consistency residual needs a zero-mean displacement")
-    grid = u_a.grid
-    if region.N != grid.N:
-        raise ValueError("region and field live on different sizes")
-    sigma = _stress_difference(region, p, F, diff(u_a, 1).values)
-    return PeriodicField(grid, (sigma - np.roll(sigma, -1)) / grid.epsilon, "residual")
-
-
-def negative_norm(t: PeriodicField) -> float:
-    """Dual norm sup_w <T, w> / ||Dw|| over zero-mean displacements.
-
-    Summation by parts pairs the antiderivative S = eps * cumsum(T) with
-    Dw, which ranges over all zero-mean strains, so the norm is the l2_eps
-    norm of S with its mean removed ("integrate once").  The residual must
-    be zero-mean up to roundoff (assembled residuals carry cancellation
-    noise of order machine epsilon times their largest entry); the mean is
-    then projected out, which the dual pairing cannot see anyway.
-    """
-    vals = t.values
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if scale == 0.0:
-        return 0.0
-    if abs(float(np.mean(vals))) > 1e-10 * scale:
-        raise ValueError("negative norm needs a zero-mean residual")
-    vals = vals - vals.mean()
-    grid = t.grid
-    return norm_l2eps(PeriodicField.displacement(grid, grid.epsilon * np.cumsum(vals)))
 
 
 def continuum_norm_sites(region: RegionDecomposition) -> np.ndarray:
@@ -256,7 +205,8 @@ def consistency_point(
     """
     grid = load.field.grid
     r_a = PeriodicField(grid, _strain_solution(ModelKind.ATOMISTIC, region, p, F, load), "strain")
-    sigma = _stress_difference(region, p, F, r_a.values)
+    sigma = strain_hessian(ModelKind.QNL, region, p, F).apply(r_a.values)
+    sigma -= strain_hessian(ModelKind.ATOMISTIC, region, p, F).apply(r_a.values)
     negnorm = norm_l2eps(PeriodicField(grid, sigma - sigma.mean()))
     d3 = norm_region(diff(r_a, 2), continuum_norm_sites(region), "l2")
     d2max = norm_region(diff(r_a, 1), interface_window_sites(region), "max")
@@ -278,8 +228,8 @@ def convergence_study(
     tail (coarsest point excluded, the reported headline number).  The
     strain error is ||r_a - r_qnl|| of two strain solves.  lambda_min of
     the coupled operator is recorded beside the continuum modulus A_F: it
-    equals A_F to about 1e-14 at every N measured, because two deep
-    continuum bonds carry an exact A_F eigenvector of the QNL strain Hessian.
+    is A_F whenever the core block of the QNL strain Hessian has no smaller
+    eigenvalue on zero-sum core strains.
     """
     records: list[ConvergenceRecord] = []
     for n in n_list:

@@ -11,10 +11,10 @@ derivatives at strains F and 2F.  The quasi-nonlocal and local couplings are
 not translation invariant.  With H = D^T Q D, their smallest eigenvalue of
 H u = lambda L u on zero-mean displacements (L the operator of the
 squared-strain metric) is that of the strain Hessian Q on zero-sum strains
-Du.  It is at most A_F, the eigenvalue of Q on constants, so one banded
-Cholesky factorization of Q - lambda I decides in O(N) whether lambda lies
-below it; lambda_min and the critical strain in F are both found by
-deterministic bisection on that test.
+Du.  Continuum atoms couple no two bonds, so Q is a core block on 2K+4 rows
+(none for QCL) plus A_F I; one banded Cholesky of the shifted block decides,
+at a cost independent of N, whether lambda < lambda_min <= A_F, and
+deterministic bisection on that test finds lambda_min and critical strains.
 """
 
 from __future__ import annotations
@@ -24,9 +24,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .lattice import ChainGrid, PeriodicField, diff, displacement_from_strain, norm_l2eps
-from .models import ModelKind, RegionDecomposition, SymmetricBandedOperator, ring_solver, strain_hessian
+from .models import (
+    ModelKind,
+    RegionDecomposition,
+    SymmetricBandedOperator,
+    strain_hessian,
+    strain_hessian_blocks,
+)
 from .potentials import EAMPotential, mean_field_density, require_finite
 
 __all__ = [
@@ -36,6 +43,7 @@ __all__ = [
     "coefficients",
     "lambda_cubic",
     "fourier_spectrum",
+    "strain_solver",
     "min_eig_numeric",
     "critical_strain",
     "remark_test_functions",
@@ -131,14 +139,18 @@ def lambda_cubic(c: StabilityCoefficients, s: float) -> float:
     return c.A + c.B * s + c.C * s**2 + c.D * s**3
 
 
+def _symbol(c: StabilityCoefficients, modes: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(s_k, lambda_F(s_k)) of the atomistic chain at wavenumbers ``modes``."""
+    s = 4.0 * np.sin(modes * np.pi / (2 * N)) ** 2
+    return s, c.A + c.B * s + c.C * s**2 + c.D * s**3
+
+
 def fourier_spectrum(p: EAMPotential, F: float, N: int) -> SpectrumReport:
     """Exact atomistic eigenvalues with respect to the squared-strain metric."""
     if N < 4:
         raise ValueError(f"need N >= 4, got {N}")
-    c = coefficients(p, F)
     modes = np.arange(-N + 1, N + 1)
-    s = 4.0 * np.sin(modes * np.pi / (2 * N)) ** 2
-    lam = c.A + c.B * s + c.C * s**2 + c.D * s**3
+    s, lam = _symbol(coefficients(p, F), modes, N)
     nonzero = modes != 0
     idx = np.argmin(np.where(nonzero, lam, np.inf))
     return SpectrumReport(
@@ -159,6 +171,47 @@ def strain_metric_operator(grid: ChainGrid) -> SymmetricBandedOperator:
     bands[:, 0] = 2.0 / grid.epsilon**2
     bands[:, 1] = -1.0 / grid.epsilon**2
     return SymmetricBandedOperator(grid, bands)
+
+
+def _band_solver(ab: np.ndarray):
+    """Cholesky solve of the matrix in LAPACK lower band storage ``ab`` (in
+    Fortran order, overwritten), or None if it is not positive definite."""
+    factor, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
+        return None
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+    return lambda b: scipy.linalg.lapack.dpbtrs(factor, b, lower=1)[0]
+
+
+def strain_solver(model: ModelKind, region: RegionDecomposition, p: EAMPotential, F: float):
+    """Solve with the strain Hessian Q at y_F, or None if Q is not positive
+    definite.  The atomistic Q is circulant, with eigenvalue lambda_F(s_k) on
+    strain Fourier mode k: definite when all are positive, solved by FFT.  A
+    coupled Q is a core block plus A_F I (:func:`strain_hessian_blocks`):
+    definite when A_F > 0 and the block's banded Cholesky succeeds."""
+    N = region.N
+    if model == ModelKind.ATOMISTIC:
+        c = coefficients(p, F)
+        s, lam = _symbol(c, np.arange(N + 1), N)
+        if not np.all(lam > 0):
+            return None
+        # 1/lambda = 1/A_F - (lambda - A_F) / (lambda A_F): the FFT carries
+        # only the second term, so its roundoff stays small on smooth strains
+        excess = s * (c.B + c.C * s + c.D * s**2) / (lam * c.A)
+        return lambda b: b / c.A - np.fft.irfft(np.fft.rfft(b) * excess, 2 * N)
+    core, core_bands, a_f = strain_hessian_blocks(model, region, p, F)
+    # A_F decides alone when it is not positive or the core is empty (QCL)
+    core_solve = _band_solver(core_bands.T) if a_f > 0 and len(core) else np.copy
+    if not a_f > 0 or core_solve is None:
+        return None
+
+    def solve(s: np.ndarray) -> np.ndarray:
+        r = s / a_f
+        r[core] = core_solve(s[core])
+        return r
+
+    return solve
 
 
 def _bisect(inside, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -183,23 +236,21 @@ def min_eig_numeric(
     atomistic chain has both in closed form: the minimum of
     :func:`fourier_spectrum` and the cosine displacement at its wavenumber.
     A coupled model's lambda_min is the smallest eigenvalue of the strain
-    Hessian Q on zero-sum strains, and at most A_F: QCL's Q is A_F I, and a
-    QNL region leaves two or more bonds that only continuum atoms touch,
-    where Q is A_F I.  So lambda < lambda_min exactly when the banded
-    Cholesky of Q - lambda I succeeds: a copy of Q's ring band storage, a
-    diagonal update and one factorization.  The bracket: a step doubled
-    down from the Rayleigh quotient x.Qx / x.x of a fixed-seed zero-sum
-    start vector until definite gives the lower end; two inverse-iteration
-    steps with that factor, means removed, give a Rayleigh quotient, the
-    upper end.  Shifts below it lower the upper end while definiteness
-    fails and become the lower end once it holds, starting at the Aitken
-    estimate dec2^2 / (dec1 - dec2) of the quotient's remaining error from
-    its two decrements (when they shrink) and 4 times further each time;
-    when both decrements are within the bisection tolerance (QCL, whose Q
-    is A_F I), one probe a tolerance below the quotient.  Bisection then
+    Hessian Q on zero-sum strains.  Q is a core block plus A_F I on two or
+    more rows, and the block has eigenvalue A_F on constants, so lambda_min
+    is A_F, with the two-bond mode e_i - e_j off the core, unless a probe of
+    the block's banded Cholesky a tolerance below A_F fails.  Then, on the
+    core alone: a step doubled down from the Rayleigh quotient of a
+    fixed-seed zero-sum start vector (at most the probe) until the shifted
+    block is definite gives the lower end; two inverse-iteration steps with
+    that factor, means removed, give a Rayleigh quotient, the upper end.
+    Shifts below it lower the upper end while definiteness fails and become
+    the lower end once it holds, starting at the Aitken estimate
+    dec2^2 / (dec1 - dec2) of the quotient's remaining error from its two
+    decrements (when they shrink) and 4 times further each time.  Bisection
     closes the bracket to ~1e-14 relative; the mode integrates one
-    inverse-iteration step from the start vector with the factor at the
-    final lower end.
+    inverse-iteration step from the start vector with the final lower end's
+    factor, zero off the core.
     """
     if region.N != N:
         raise ValueError(f"region size {region.N} does not match N={N}")
@@ -208,15 +259,30 @@ def min_eig_numeric(
         rep = fourier_spectrum(p, F, N)
         mode = PeriodicField.displacement(grid, np.cos(np.pi * rep.min_mode * grid.positions()))
         return rep.min_eigenvalue, mode * (1.0 / norm_l2eps(diff(mode, 1)))
-    q_op = strain_hessian(model, region, p, F)
-    ab_q = q_op.ring_bands()
+    core, core_bands, a_f = strain_hessian_blocks(model, region, p, F)
+    strain = np.zeros(grid.period_atoms)
+    found = _core_min_eig(core_bands.T, a_f - 1e-14 * max(1.0, abs(a_f))) if len(core) else None
+    if found is None:
+        i = core[-1] + 1 if len(core) else 0
+        strain[[i % len(strain), (i + 1) % len(strain)]] = 1.0, -1.0
+        lam = a_f
+    else:
+        lam, strain[core] = found
+    mode = displacement_from_strain(grid, strain)
+    return lam, mode * (1.0 / norm_l2eps(diff(mode, 1)))
+
+
+def _core_min_eig(ab_q: np.ndarray, cap: float):
+    """(lambda, x): smallest eigenvalue on zero-sum vectors and a mode of the
+    core block in lower band storage ``ab_q``, by the bracket of
+    :func:`min_eig_numeric`; None if the block minus cap I is definite."""
     solve_lo = None  # solve with the factor at the highest shift found definite
 
     def definite(lam: float) -> bool:
         nonlocal solve_lo
         ab = ab_q.copy(order="F")
         ab[0] -= lam
-        solve = ring_solver(ab)
+        solve = _band_solver(ab)
         if solve is not None:
             solve_lo = solve
         return solve is not None
@@ -226,11 +292,14 @@ def min_eig_numeric(
         return y - y.mean()
 
     def rayleigh(x: np.ndarray) -> float:
-        return float(np.dot(x, q_op.apply(x)) / np.dot(x, x))
+        return float(np.dot(x, scipy.linalg.blas.dsbmv(len(ab_q) - 1, 1.0, ab_q, x, lower=1)) / np.dot(x, x))
 
-    start = np.random.default_rng(0).standard_normal(grid.period_atoms)
+    if definite(cap):
+        return None
+    start = np.random.default_rng(0).standard_normal(ab_q.shape[1])
     start -= start.mean()
-    hi = rayleigh(start)
+    rq0 = rayleigh(start)
+    hi = min(rq0, cap)
     step = max(1.0, abs(hi))
     while not definite(hi - step):
         step *= 2.0
@@ -238,12 +307,10 @@ def min_eig_numeric(
     x1 = inverse_step(start)
     x2 = inverse_step(x1)
     rq1, rq2 = rayleigh(x1), rayleigh(x2)
-    dec1, dec2 = hi - rq1, rq1 - rq2
+    dec1, dec2 = rq0 - rq1, rq1 - rq2
     hi = min(hi, rq2)
     tol = 1e-14 * max(1.0, abs(lo), abs(hi))
-    if max(abs(dec1), abs(dec2)) <= tol:  # converged: one probe just below
-        delta, growth = tol, math.inf
-    elif 0 < dec2 < dec1:
+    if 0 < dec2 < dec1:
         delta, growth = max(dec2 * dec2 / (dec1 - dec2), tol), 4.0
     else:
         delta = growth = math.inf
@@ -254,8 +321,7 @@ def min_eig_numeric(
         hi -= delta
         delta *= growth
     lo, hi = _bisect(definite, lo, hi, tol)
-    mode = displacement_from_strain(grid, inverse_step(start))
-    return 0.5 * (lo + hi), mode * (1.0 / norm_l2eps(diff(mode, 1)))
+    return 0.5 * (lo + hi), inverse_step(start)
 
 
 def critical_strain(
@@ -271,9 +337,9 @@ def critical_strain(
     ``bracket = (F_lo, F_hi)`` must hold a stable and an unstable end.  The
     atomistic chain is stable when the minimum of the stability cubic over
     the discrete modes is positive; a coupled model is stable when its
-    strain Hessian Q is positive definite, which is whether its banded
-    Cholesky succeeds (lambda_min <= A_F, see :func:`min_eig_numeric`).
-    Deterministic.
+    strain Hessian Q is positive definite (lambda_min <= A_F, see
+    :func:`min_eig_numeric`): when A_F > 0 and the banded Cholesky of its
+    core block succeeds (:func:`strain_solver`).  Deterministic.
     """
     if region.N != N:
         raise ValueError(f"region size {region.N} does not match N={N}")
@@ -283,7 +349,7 @@ def critical_strain(
     if model == ModelKind.ATOMISTIC:
         stable = lambda F: fourier_spectrum(p, F, N).min_eigenvalue > 0  # noqa: E731
     else:
-        stable = lambda F: strain_hessian(model, region, p, F).cholesky_solver() is not None  # noqa: E731
+        stable = lambda F: strain_solver(model, region, p, F) is not None  # noqa: E731
     lo_stable = stable(f_lo)
     if stable(f_hi) == lo_stable:
         state = "stable" if lo_stable else "unstable"

@@ -11,8 +11,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from eamchain.lattice import ChainGrid, PeriodicField
-from eamchain.models import Deformation, ModelKind, RegionDecomposition, energy
+from eamchain.lattice import ChainGrid, PeriodicField, diff, norm_l2eps
+from eamchain.models import Deformation, ModelKind, RegionDecomposition, energy, strain_hessian
 
 HALF = 0.5
 STRAIN_HALF_BANDWIDTH = 3
@@ -286,6 +286,45 @@ def dual_norm_by_maximization(t: PeriodicField, l_dense: np.ndarray) -> float:
     l_proj = basis.T @ l_dense @ basis
     vals = scipy.linalg.eigh(np.outer(t_proj, t_proj), l_proj, eigvals_only=True)
     return float(np.sqrt(grid.epsilon * max(vals[-1], 0.0)))
+
+
+def consistency_residual(region: RegionDecomposition, p, F: float, u_a: PeriodicField) -> PeriodicField:
+    """Action difference T = (H_qnl - H_atomistic) u_a = D^T sigma of the
+    two second variations on the atomistic solution, with the stress
+    difference sigma = (Q_qnl - Q_atomistic) D u_a.  Vanishes identically
+    wherever the coupled and exact stencils agree, so T is supported in the
+    continuum and near the interface.
+    """
+    if u_a.kind != "displacement":
+        raise ValueError("consistency residual needs a zero-mean displacement")
+    grid = u_a.grid
+    if region.N != grid.N:
+        raise ValueError("region and field live on different sizes")
+    r_a = diff(u_a, 1).values
+    sigma = strain_hessian(ModelKind.QNL, region, p, F).apply(r_a)
+    sigma -= strain_hessian(ModelKind.ATOMISTIC, region, p, F).apply(r_a)
+    return PeriodicField(grid, (sigma - np.roll(sigma, -1)) / grid.epsilon, "residual")
+
+
+def negative_norm(t: PeriodicField) -> float:
+    """Dual norm sup_w <T, w> / ||Dw|| over zero-mean displacements.
+
+    Summation by parts pairs the antiderivative S = eps * cumsum(T) with
+    Dw, which ranges over all zero-mean strains, so the norm is the l2_eps
+    norm of S with its mean removed ("integrate once").  The residual must
+    be zero-mean up to roundoff (assembled residuals carry cancellation
+    noise of order machine epsilon times their largest entry); the mean is
+    then projected out, which the dual pairing cannot see anyway.
+    """
+    vals = t.values
+    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+    if scale == 0.0:
+        return 0.0
+    if abs(float(np.mean(vals))) > 1e-10 * scale:
+        raise ValueError("negative norm needs a zero-mean residual")
+    vals = vals - vals.mean()
+    grid = t.grid
+    return norm_l2eps(PeriodicField.displacement(grid, grid.epsilon * np.cumsum(vals)))
 
 
 def loglog_slope(x, y) -> float:

@@ -11,14 +11,16 @@ from eamchain.lattice import ChainGrid, PeriodicField
 from eamchain.models import (
     Deformation,
     ModelKind,
+    STRAIN_HALF_BANDWIDTH,
     RegionDecomposition,
+    _core_rows,
     _hessian_layout,
-    _ring_layout,
     energy,
     force_scale,
     gradient,
     hessian,
     strain_hessian,
+    strain_hessian_blocks,
 )
 from eamchain.potentials import EAMPotential, ScalarFunctionC2, shipped_potential
 from eamchain.stability import coefficients
@@ -149,19 +151,38 @@ def test_small_chain_hessians_match_loop_oracle(chain):
     h_op = hessian(model, region, p, F)
     assert np.max(np.abs(dense_from_bands(h_op.bands) - h_dense)) <= 1e-14 * h_op.norm_inf()
 
-    # ring band storage: lower bands of the matrix in ring order 0, n-1, 1,
-    # n-2, ..., with the two entries of one pair summed
-    order = np.ravel(np.column_stack([np.arange(n // 2), np.arange(n - 1, n // 2 - 1, -1)]))
-    ring = dense_from_bands(h_op.bands)[np.ix_(order, order)]
-    ab = h_op.ring_bands()
-    for diag in range(min(ab.shape[0], n)):
-        expected = np.diag(ring, -diag)
-        assert np.max(np.abs(ab[diag, : n - diag] - expected)) <= 1e-14 * h_op.norm_inf()
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
+def test_strain_hessian_is_core_block_plus_continuum_diagonal(name):
+    # the core is one cyclic run of 2K+4 rows for QNL, none for QCL and all
+    # for the atomistic chain; every other row is diagonal, bitwise A_F, and
+    # the core bands as a plain (unwrapped) band matrix rebuild Q exactly
+    p = POTENTIALS[name]
+    for n_half in range(4, 21):
+        n = 2 * n_half
+        assert np.array_equal(_core_rows(ModelKind.ATOMISTIC, n_half, -1), np.arange(n))
+        for K in range(n_half - 2):
+            region = RegionDecomposition(n_half, K)
+            for model in (ModelKind.QNL, ModelKind.QCL):
+                m = 2 * K + 4 if model == ModelKind.QNL else 0
+                for F in (0.95, 1.0, 1.1):
+                    core, core_bands, a_f = strain_hessian_blocks(model, region, p, F)
+                    assert len(core) == m and np.all((core - core[:1]) % n == np.arange(m))
+                    q = strain_hessian(model, region, p, F)
+                    rest = np.setdiff1d(np.arange(n), core)
+                    assert np.all(q.bands[rest, 1:] == 0) and np.all(q.bands[rest, 0] == a_f)
+                    block = np.zeros((n, n))
+                    block[rest, rest] = a_f
+                    for d in range(STRAIN_HALF_BANDWIDTH + 1):
+                        k = np.arange(m - d)
+                        assert np.all(core_bands[m - d :, d] == 0)
+                        block[core[k + d], core[k]] = block[core[k], core[k + d]] = core_bands[k, d]
+                    assert np.array_equal(block, q.to_dense())
 
 
 def test_cached_layouts_are_read_only():
     basis, row_class = _hessian_layout(ModelKind.QNL, 16, 4)
-    arrays = [basis, row_class, *_ring_layout(32, 5)]
+    arrays = [basis, row_class, _core_rows(ModelKind.QNL, 16, 4)]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):

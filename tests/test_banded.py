@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eamchain.lattice import ChainGrid
-from eamchain.models import ModelKind, RegionDecomposition, SymmetricBandedOperator, hessian, strain_hessian
+from eamchain.models import ModelKind, RegionDecomposition, SymmetricBandedOperator, hessian
 from eamchain.potentials import shipped_potential
 from eamchain.solver import NotPositiveDefiniteError, cosine_load, solve_linearized
 from eamchain.stability import (
@@ -15,6 +15,7 @@ from eamchain.stability import (
     min_eig_numeric,
     rayleigh_quotient,
     strain_metric_operator,
+    strain_solver,
 )
 
 from oracles import dense_generalized_eigenvalues, zero_mean_basis
@@ -45,11 +46,15 @@ def test_banded_backend_matches_dense_oracle(chain):
     scale = max(1.0, float(np.max(np.abs(lam_dense))))
 
     # a coupled model's lambda_min never exceeds A_F, so definiteness on
-    # zero-mean fields is whether the strain Hessian's factorization succeeds
+    # zero-mean fields is whether the strain Hessian is positive definite;
+    # the atomistic strain Hessian also needs A_F > 0, its eigenvalue on
+    # constants
+    a_f = coefficients(p, F).A
     if model != ModelKind.ATOMISTIC:
-        assert lam0 <= coefficients(p, F).A + 1e-12 * scale
-        if abs(lam0) > 1e-9 * scale:
-            assert (strain_hessian(model, region, p, F).cholesky_solver() is not None) == (lam0 > 0)
+        assert lam0 <= a_f + 1e-12 * scale
+    q_min = min(lam0, a_f)
+    if abs(q_min) > 1e-9 * scale:
+        assert (strain_solver(model, region, p, F) is not None) == (q_min > 0)
 
     lam, mode = min_eig_numeric(model, region, p, F, region.N)
     assert lam == pytest.approx(lam0, abs=1e-11 * scale)

@@ -2,28 +2,39 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eamchain.lattice import ChainGrid, PeriodicField, diff, norm_l2eps, norm_region, strain_fourier
-from eamchain.models import ModelKind, RegionDecomposition, SymmetricBandedOperator, hessian
+from eamchain.lattice import (
+    ChainGrid,
+    PeriodicField,
+    diff,
+    displacement_from_strain,
+    norm_l2eps,
+    norm_region,
+    strain_fourier,
+)
+from eamchain.models import ModelKind, RegionDecomposition, hessian
+from eamchain.potentials import shipped_potential
 from eamchain.solver import (
     DeadLoad,
     NotPositiveDefiniteError,
     SolveError,
     consistency_point,
-    consistency_residual,
     continuum_norm_sites,
     convergence_study,
     cosine_load,
     fixed_k_rule,
     interface_window_sites,
-    negative_norm,
     power_k_rule,
     solve_linearized,
 )
-from eamchain.stability import coefficients, min_eig_numeric, strain_metric_operator
+from eamchain.stability import coefficients, min_eig_numeric, strain_metric_operator, strain_solver
 
 from conftest import random_displacement
-from oracles import dual_norm_by_maximization, loglog_slope
+from oracles import consistency_residual, dual_norm_by_maximization, loglog_slope, negative_norm
+
+POTENTIALS = {name: shipped_potential(name) for name in ("default-eam", "reversal-eam", "pair-morse")}
 
 
 def test_dead_load_zero_mean_required():
@@ -54,10 +65,9 @@ def test_corrupted_solve_raises_solve_error(default_p, monkeypatch, n):
         solve_linearized(model, region, default_p, 1.0, load)
     noise = np.random.default_rng(5).standard_normal(grid.period_atoms)
     noise -= noise.mean()
-    cholesky_solver = SymmetricBandedOperator.cholesky_solver
 
-    def corrupted(self):
-        solve = cholesky_solver(self)
+    def corrupted(*args):
+        solve = strain_solver(*args)
 
         def solve_with_error(b):
             x = solve(b)
@@ -65,7 +75,7 @@ def test_corrupted_solve_raises_solve_error(default_p, monkeypatch, n):
 
         return solve_with_error
 
-    monkeypatch.setattr(SymmetricBandedOperator, "cholesky_solver", corrupted)
+    monkeypatch.setattr("eamchain.solver.strain_solver", corrupted)
     for model in ModelKind:
         with pytest.raises(SolveError, match="infinity norms"):
             solve_linearized(model, region, default_p, 1.0, load)
@@ -206,6 +216,28 @@ def test_negative_norm_matches_dense_maximization(default_p, rng):
     ours = negative_norm(t)
     oracle = dual_norm_by_maximization(t, strain_metric_operator(grid).to_dense())
     assert ours == pytest.approx(oracle, rel=1e-10)
+
+
+@st.composite
+def study_points(draw):
+    """(potential, region, F, load frequency): N in [8, 128], K in [0, N-3],
+    F in [0.95, 1.05], where every shipped atomistic chain is stable."""
+    p = POTENTIALS[draw(st.sampled_from(sorted(POTENTIALS)))]
+    n = draw(st.integers(8, 128))
+    region = RegionDecomposition(n, draw(st.integers(0, n - 3)))
+    return p, region, draw(st.floats(0.95, 1.05)), draw(st.integers(1, n - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(study_points())
+def test_consistency_point_negnorm_matches_residual_oracle(point):
+    # the study's ||sigma - mean sigma|| against the dual norm of T = D^T sigma
+    # integrated once from the site-space residual
+    p, region, F, frequency = point
+    grid = ChainGrid(region.N)
+    r_a, negnorm, _, _ = consistency_point(region, p, F, cosine_load(grid, frequency))
+    u_a = displacement_from_strain(grid, r_a.values)
+    assert negnorm == pytest.approx(negative_norm(consistency_residual(region, p, F, u_a)), rel=1e-12)
 
 
 def test_error_equation_and_stability_chain(default_p):

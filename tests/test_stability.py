@@ -169,6 +169,21 @@ def test_qnl_min_eig_is_a_f_to_roundoff_at_large_n(default_p):
     assert abs(lam - a_f) <= 1e-14 * a_f
 
 
+@pytest.mark.parametrize("name,bracket", [("default-eam", (1.0, 1.15)), ("reversal-eam", (0.95, 1.2))])
+def test_qnl_stability_does_not_depend_on_n(name, bracket):
+    # the decisions see only the 2K+4 core rows and A_F, the same at every N;
+    # the reversal core has an eigenvalue below A_F, so bisection runs there
+    p = shipped_potential(name)
+    small, large = (RegionDecomposition(n, 8) for n in (2**6, 2**16))
+    for F in (1.0, 1.1):
+        assert min_eig_numeric(ModelKind.QNL, small, p, F, small.N)[0] == min_eig_numeric(
+            ModelKind.QNL, large, p, F, large.N
+        )[0]
+    assert critical_strain(ModelKind.QNL, small, p, small.N, bracket) == critical_strain(
+        ModelKind.QNL, large, p, large.N, bracket
+    )
+
+
 def test_atomistic_min_eig_is_the_fourier_minimum_at_large_n(default_p):
     n = 2**16
     region = RegionDecomposition(n, 8)
