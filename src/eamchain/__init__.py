@@ -54,6 +54,7 @@ from .stability import (
     critical_strain,
     fourier_spectrum,
     lambda_cubic,
+    lambda_min,
     min_eig_numeric,
     rayleigh_quotient,
     remark_test_functions,

@@ -51,7 +51,7 @@ from .stability import (
     critical_strain,
     fourier_spectrum,
     lambda_cubic,
-    min_eig_numeric,
+    lambda_min,
     rayleigh_quotient,
     remark_test_functions,
 )
@@ -451,7 +451,7 @@ def _run_remark44(cfg: ExperimentConfig) -> int:
         u_tilde, u_hat = remark_test_functions(n, k)
         rq_atom = rayleigh_quotient(ModelKind.ATOMISTIC, region, p, f_val, u_tilde)
         rq_qnl = rayleigh_quotient(ModelKind.QNL, region, p, f_val, u_hat)
-        qcl_min = min_eig_numeric(ModelKind.QCL, region, p, f_val, n)[0]
+        qcl_min = lambda_min(ModelKind.QCL, region, p, f_val, n)
         rows.append([k, n, rq_atom, rq_qnl, qcl_min, target, rq_qnl - target])
         ks.append(k)
         gaps.append(abs(rq_qnl - target))

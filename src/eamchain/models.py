@@ -36,7 +36,13 @@ strain Hessian row is fixed by the region classes of the atoms that reach
 it, so a basis of exact small rationals, compiled once per
 ``(model, N, K)``, maps the seven scalars to the bands of each such row
 class by one matrix-vector product, and a gather spreads those bands to
-rows.
+rows.  Continuum atoms couple no two bonds, so a coupled strain Hessian is
+a core block on the 2K+4 bonds around the atomistic region plus A_F times
+the identity.  The region classes around the core are the same on every
+grid, so the core's basis rows are compiled once per ``(model, K)``, and
+the stability decisions built on them cost the same, and give the same
+bits, at every N.  The scalars come from derivatives of the potential
+memoized per strain.
 
 Conventions: the model energy is the interaction energy per period (dead
 loads are handled in :mod:`eamchain.solver`).  Gradients g satisfy
@@ -58,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import ChainGrid, PeriodicField, diff
-from .potentials import EAMPotential, require_finite
+from .potentials import EAMPotential, _uniform_derivatives, require_finite
 
 __all__ = [
     "ModelKind",
@@ -448,35 +454,49 @@ def _hessian_layout(kind: ModelKind, N: int, K: int) -> tuple[np.ndarray, np.nda
 
 @lru_cache(maxsize=64)
 def _core_rows(kind: ModelKind, N: int, K: int) -> np.ndarray:
-    """Rows of the strain Hessian with a nonzero off-diagonal band in the
-    basis of :func:`_hessian_layout`, and the rows those bands couple to, as
-    one cyclic run: 2K+4 rows for QNL, none for QCL, all for the atomistic
-    chain.  Every other row is diagonal with one basis row, A_F.  Read-only.
+    """Rows of the strain Hessian outside of which every row is diagonal
+    with one basis row of :func:`_hessian_layout`, A_F: the one cyclic run
+    of bonds -K-1 .. K+2 (rows N-K-2 .. N+K+1), 2K+4 rows, for QNL, whose
+    continuum atoms couple no two bonds; none for QCL; all for the
+    atomistic chain.  Read-only.
     """
-    basis, row_class = _hessian_layout(kind, N, K)
-    n = 2 * N
-    coupled = basis.reshape(-1, STRAIN_HALF_BANDWIDTH + 1, _N_SCALARS)[:, 1:].any(axis=2)
-    rows, d = np.nonzero(coupled[row_class])
-    mask = np.zeros(n, bool)
-    mask[rows] = mask[(rows + d + 1) % n] = True
-    start = np.argmax(mask & ~np.roll(mask, 1))  # 0 if all or none
-    core = (start + np.arange(np.count_nonzero(mask))) % n
+    if kind == ModelKind.ATOMISTIC:
+        core = np.arange(2 * N)
+    elif kind == ModelKind.QCL:
+        core = np.arange(0)
+    else:
+        core = (N - K - 2 + np.arange(2 * K + 4)) % (2 * N)
     core.flags.writeable = False
     return core
+
+
+@lru_cache(maxsize=64)
+def _core_basis(kind: ModelKind, K: int) -> np.ndarray:
+    """Basis rows of a coupled model's core rows and then of one continuum
+    row, in the layout of :func:`_hessian_layout` with four bands per row;
+    read-only.  A row's bands depend only on the region classes of the
+    atoms that reach it, and around the core those are the same on every
+    grid N >= K+3, so the smallest grid gives them for all N.
+    """
+    N = max(K, 0) + 3
+    basis, row_class = _hessian_layout(kind, N, K)
+    core = _core_rows(kind, N, K)
+    rows = np.append(core, (core[-1] + 1) % (2 * N) if len(core) else 0)
+    out = basis.reshape(-1, STRAIN_HALF_BANDWIDTH + 1, _N_SCALARS)[row_class[rows]].reshape(-1, _N_SCALARS)
+    out.flags.writeable = False
+    return out
 
 
 def _uniform_scalars(p: EAMPotential, F: float) -> np.ndarray:
     """phi''(F), phi''(2F), G' rho''(F), G' rho''(2F), G'' rho'(F)^2,
     G'' rho'(F) rho'(2F) and G'' rho'(2F)^2 at y_F, where every group of
-    every template has the density 2 rho(F) + 2 rho(2F).  Raises
-    NonFiniteError if one is not finite."""
+    every template has the density 2 rho(F) + 2 rho(2F).  Raises ValueError
+    unless 0 < F < inf and NonFiniteError if a scalar is not finite."""
+    if not 0 < F < np.inf:
+        raise ValueError(f"deformation gradient must be finite and positive, got F={F}")
+    phi2, phi2_2, r1, r1_2, r2, r2_2, g1, g2 = _uniform_derivatives(p, F)
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
-        at = np.array([F, 2.0 * F])
-        phi2, rho, rho1, rho2 = (_on(f, at) for f in (p.pair.d2, p.density.eval, p.density.d1, p.density.d2))
-        dbar = 2.0 * rho[0] + 2.0 * rho[1]
-        g1, g2 = p.embedding.d1(dbar), p.embedding.d2(dbar)
-        r1, r1_2 = rho1
-        scalars = np.array([*phi2, *(g1 * rho2), g2 * r1 * r1, g2 * r1 * r1_2, g2 * r1_2 * r1_2], dtype=float)
+        scalars = np.array([phi2, phi2_2, g1 * r2, g1 * r2_2, g2 * r1 * r1, g2 * r1 * r1_2, g2 * r1_2 * r1_2], dtype=float)
     require_finite(p, F, "strain Hessian", scalars)
     return scalars
 
@@ -496,7 +516,9 @@ def strain_hessian(
     state, so ``Q 1 = A_F 1`` (A_F the continuum modulus).  Raises
     NonFiniteError if a scalar is not finite.
     """
-    class_bands, row_class, _ = _class_bands(model, region, p, F)
+    scalars = _uniform_scalars(p, F)
+    basis, row_class = _hessian_layout(model, region.N, region.K if model == ModelKind.QNL else -1)
+    class_bands = (basis @ scalars).reshape(-1, STRAIN_HALF_BANDWIDTH + 1)
     return SymmetricBandedOperator(ChainGrid(region.N), class_bands[row_class])
 
 
@@ -508,24 +530,16 @@ def strain_hessian_blocks(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Strain Hessian of a coupled model as a core block plus A_F I:
     (core rows, their bands, A_F), with ``core_bands.T`` the block in LAPACK
-    lower band storage.  Gathers only the core rows and A_F, so the cost
-    does not grow with N.  The circulant atomistic one has no A_F block.
+    lower band storage.  Bands and A_F come from a basis compiled once per
+    model and K, so neither the cost nor the values depend on N.  The
+    circulant atomistic one has no A_F block.
     """
     if model == ModelKind.ATOMISTIC:
         raise ValueError("the atomistic strain Hessian has no continuum block")
-    class_bands, row_class, K = _class_bands(model, region, p, F)
-    core = _core_rows(model, region.N, K)
-    continuum_row = (core[-1] + 1) % len(row_class) if len(core) else 0
-    return core, class_bands[row_class[core]], float(class_bands[row_class[continuum_row], 0])
-
-
-def _class_bands(model: ModelKind, region: RegionDecomposition, p: EAMPotential, F: float):
-    """(bands of each row class at y_F, row_class, layout K)."""
-    if not 0 < F < np.inf:
-        raise ValueError(f"deformation gradient must be finite and positive, got F={F}")
+    scalars = _uniform_scalars(p, F)
     K = region.K if model == ModelKind.QNL else -1
-    basis, row_class = _hessian_layout(model, region.N, K)
-    return (basis @ _uniform_scalars(p, F)).reshape(-1, STRAIN_HALF_BANDWIDTH + 1), row_class, K
+    bands = (_core_basis(model, K) @ scalars).reshape(-1, STRAIN_HALF_BANDWIDTH + 1)
+    return _core_rows(model, region.N, K), bands[:-1], float(bands[-1, 0])
 
 
 def hessian(

@@ -23,7 +23,7 @@ recorded per shipped potential in STABLE_RANGES.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -80,8 +80,8 @@ class NonFiniteError(ArithmeticError):
 
 def require_finite(p: "EAMPotential", F: float, what: str, values) -> None:
     """Raise NonFiniteError, naming the potential and F, unless every one of
-    ``values`` is finite."""
-    if not np.all(np.isfinite(values)):
+    the numbers ``values`` is finite."""
+    if not all(map(math.isfinite, values)):
         raise NonFiniteError(f"potential {p.name or '<unnamed>'!r} gives a non-finite {what} at F={F}")
 
 
@@ -113,6 +113,8 @@ class EAMPotential:
     density: ScalarFunctionC2
     embedding: ScalarFunctionC2
     name: str = ""
+    #: memo of :func:`_uniform_derivatives` by strain; not part of the value
+    _uniform: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -190,6 +192,40 @@ def mean_field_density(p: EAMPotential, F: float) -> float:
     return 2.0 * p.density(F) + 2.0 * p.density(2 * F)
 
 
+#: Strains kept by one potential's memo of :func:`_uniform_derivatives`; a
+#: critical-strain run visits about 90 per potential.
+_UNIFORM_MEMO_SIZE = 256
+
+
+def _uniform_derivatives(p: EAMPotential, F: float) -> tuple:
+    """phi''(F), phi''(2F), rho'(F), rho'(2F), rho''(F), rho''(2F), G'(rho_bar)
+    and G''(rho_bar) at the uniform strain F, rho_bar = 2 rho(F) + 2 rho(2F):
+    every uniform-state stability quantity is built from these.  Memoized
+    per potential and strain.  The values may be non-finite; each caller
+    checks what it derives from them, so the check repeats on every call.
+    """
+    F = float(F)
+    memo = p._uniform
+    values = memo.get(F)
+    if values is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            dbar = mean_field_density(p, F)
+            values = (
+                p.pair.d2(F),
+                p.pair.d2(2 * F),
+                p.density.d1(F),
+                p.density.d1(2 * F),
+                p.density.d2(F),
+                p.density.d2(2 * F),
+                p.embedding.d1(dbar),
+                p.embedding.d2(dbar),
+            )
+        if len(memo) >= _UNIFORM_MEMO_SIZE:
+            memo.clear()
+        memo[F] = values
+    return values
+
+
 def check_assumptions(p: EAMPotential, F: float) -> AssumptionReport:
     """Evaluate the a1 / a2 / a3 sign conditions at strain F.
 
@@ -200,16 +236,7 @@ def check_assumptions(p: EAMPotential, F: float) -> AssumptionReport:
     """
     if not F > 0:
         raise ValueError(f"strain must be positive, got F={F}")
-    dbar = mean_field_density(p, F)
-    phi2_F = p.pair.d2(F)
-    phi2_2F = p.pair.d2(2 * F)
-    rho1_F = p.density.d1(F)
-    rho1_2F = p.density.d1(2 * F)
-    rho2_F = p.density.d2(F)
-    rho2_2F = p.density.d2(2 * F)
-    g1 = p.embedding.d1(dbar)
-    g2 = p.embedding.d2(dbar)
-
+    phi2_F, phi2_2F, rho1_F, rho1_2F, rho2_F, rho2_2F, g1, g2 = _uniform_derivatives(p, F)
     neg_b = (
         phi2_2F
         + g2 * (rho1_F**2 + 20 * rho1_2F**2 + 12 * rho1_F * rho1_2F)

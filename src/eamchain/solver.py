@@ -30,7 +30,7 @@ import numpy as np
 from .lattice import ChainGrid, PeriodicField, diff, displacement_from_strain, norm_l2eps, norm_region
 from .models import ModelKind, RegionDecomposition, strain_hessian
 from .potentials import EAMPotential
-from .stability import coefficients, min_eig_numeric, strain_solver
+from .stability import coefficients, lambda_min, strain_solver
 
 __all__ = [
     "DeadLoad",
@@ -239,7 +239,7 @@ def convergence_study(
         load = load_generator(grid)
         r_a, negnorm, d3, d2max = consistency_point(region, p, F, load)
         err = norm_l2eps(r_a - PeriodicField(grid, _strain_solution(ModelKind.QNL, region, p, F, load)))
-        lam_min = min_eig_numeric(ModelKind.QNL, region, p, F, n)[0]
+        lam_min = lambda_min(ModelKind.QNL, region, p, F, n)
         runtime_ms = (time.perf_counter() - start) * 1e3
         records.append(
             ConvergenceRecord(

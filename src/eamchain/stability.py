@@ -7,14 +7,19 @@ are values of a cubic
     lambda_F(s) = A_F + B_F s + C_F s^2 + D_F s^3,   s_k = 4 sin^2(k pi / 2N),
 
 whose coefficients are closed-form combinations of the potential's
-derivatives at strains F and 2F.  The quasi-nonlocal and local couplings are
-not translation invariant.  With H = D^T Q D, their smallest eigenvalue of
+derivatives at strains F and 2F, evaluated once per potential and strain.
+s_k grows with k, so the smallest lambda_F(s_k) lies at k = 1, at k = N or
+beside a critical point of the cubic, and a few modes decide atomistic
+stability at any N.  The quasi-nonlocal and local couplings are not
+translation invariant.  With H = D^T Q D, their smallest eigenvalue of
 H u = lambda L u on zero-mean displacements (L the operator of the
 squared-strain metric) is that of the strain Hessian Q on zero-sum strains
 Du.  Continuum atoms couple no two bonds, so Q is a core block on 2K+4 rows
 (none for QCL) plus A_F I; one banded Cholesky of the shifted block decides,
 at a cost independent of N, whether lambda < lambda_min <= A_F, and
 deterministic bisection on that test finds lambda_min and critical strains.
+Only a mode (:func:`min_eig_numeric`) and a solve (:func:`strain_solver`)
+cost O(N).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .models import (
     strain_hessian,
     strain_hessian_blocks,
 )
-from .potentials import EAMPotential, mean_field_density, require_finite
+from .potentials import EAMPotential, _uniform_derivatives, require_finite
 
 __all__ = [
     "StabilityCoefficients",
@@ -44,6 +49,7 @@ __all__ = [
     "lambda_cubic",
     "fourier_spectrum",
     "strain_solver",
+    "lambda_min",
     "min_eig_numeric",
     "critical_strain",
     "remark_test_functions",
@@ -112,17 +118,8 @@ def coefficients(p: EAMPotential, F: float) -> StabilityCoefficients:
     """
     if not 0 < F < math.inf:
         raise ValueError(f"strain must be finite and positive, got F={F}")
+    phi2_F, phi2_2F, r1F, r12F, r2F, r22F, g1, g2 = _uniform_derivatives(p, F)
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
-        dbar = mean_field_density(p, F)
-        phi2_F = p.pair.d2(F)
-        phi2_2F = p.pair.d2(2 * F)
-        r1F = p.density.d1(F)
-        r12F = p.density.d1(2 * F)
-        r2F = p.density.d2(F)
-        r22F = p.density.d2(2 * F)
-        g1 = p.embedding.d1(dbar)
-        g2 = p.embedding.d2(dbar)
-
         a_hat = 4 * g2 * (r1F + 2 * r12F) ** 2 + 2 * g1 * (r2F + 4 * r22F)
         a_tilde = phi2_F + 4 * phi2_2F
         b = -(phi2_2F + g2 * (r1F**2 + 20 * r12F**2 + 12 * r1F * r12F) + 2 * g1 * r22F)
@@ -143,6 +140,44 @@ def _symbol(c: StabilityCoefficients, modes: np.ndarray, N: int) -> tuple[np.nda
     """(s_k, lambda_F(s_k)) of the atomistic chain at wavenumbers ``modes``."""
     s = 4.0 * np.sin(modes * np.pi / (2 * N)) ** 2
     return s, c.A + c.B * s + c.C * s**2 + c.D * s**3
+
+
+def _critical_points(c: StabilityCoefficients) -> list[float]:
+    """Real roots of lambda_F'(s) = B + 2 C s + 3 D s^2: none, one or two."""
+    scale = max(abs(c.B), abs(c.C), abs(c.D))
+    if scale == 0:
+        return []
+    a, b, k = 3.0 * c.D / scale, 2.0 * c.C / scale, c.B / scale
+    if a == 0:
+        return [] if b == 0 else [-k / b]
+    disc = b * b - 4.0 * a * k
+    if disc < 0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))  # no cancellation
+    return [q / a, k / q] if q != 0 else [0.0]
+
+
+def _atomistic_min(c: StabilityCoefficients, N: int) -> tuple[float, int]:
+    """(lambda_min, k): the minimum of lambda_F(s_k) over k = 1..N and the
+    smallest k attaining it, the minimum of :func:`fourier_spectrum`.
+
+    s_k grows with k, and lambda_F is monotone between its critical points,
+    so the minimum lies at k = 1, at k = N or beside a critical point in
+    (0, 4).  Those modes, with three more on each side of each critical
+    point against rounding, are the only ones evaluated, by the arithmetic
+    of the full spectrum, so the cost does not depend on N.
+    """
+    if N < 4:
+        raise ValueError(f"need N >= 4, got {N}")
+    modes = {1, N}
+    for s in _critical_points(c):
+        if 0 < s < 4:
+            k = round(2 * N / math.pi * math.asin(math.sqrt(s) / 2))
+            modes.update(range(max(k - 3, 1), min(k + 3, N) + 1))
+    modes = np.array(sorted(modes))
+    lam = _symbol(c, modes, N)[1]
+    i = np.argmin(lam)
+    return float(lam[i]), int(modes[i])
 
 
 def fourier_spectrum(p: EAMPotential, F: float, N: int) -> SpectrumReport:
@@ -215,12 +250,39 @@ def strain_solver(model: ModelKind, region: RegionDecomposition, p: EAMPotential
 
 
 def _bisect(inside, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Halve [lo, hi] until it is at most tol wide, keeping ``inside(lo)``
-    true and ``inside(hi)`` false; returns the final (lo, hi)."""
+    """Halve [lo, hi] until it is at most tol wide, or its ends are adjacent
+    floats, keeping ``inside(lo)`` true and ``inside(hi)`` false; returns
+    the final (lo, hi)."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         lo, hi = (mid, hi) if inside(mid) else (lo, mid)
     return lo, hi
+
+
+def _min_eig(model: ModelKind, region: RegionDecomposition, p: EAMPotential, F: float, N: int):
+    """(lambda_min, where) for :func:`min_eig_numeric`, ``where`` being the
+    wavenumber of the atomistic mode or (rows, values) of a coupled mode's
+    nonzero strains; O(K) work."""
+    if region.N != N:
+        raise ValueError(f"region size {region.N} does not match N={N}")
+    if model == ModelKind.ATOMISTIC:
+        return _atomistic_min(coefficients(p, F), N)
+    core, core_bands, a_f = strain_hessian_blocks(model, region, p, F)
+    found = _core_min_eig(core_bands.T, a_f - 1e-14 * max(1.0, abs(a_f))) if len(core) else None
+    if found is None:
+        i = core[-1] + 1 if len(core) else 0
+        return a_f, (np.array([i, i + 1]) % (2 * N), np.array([1.0, -1.0]))
+    lam, x = found
+    return lam, (core, x)
+
+
+def lambda_min(model: ModelKind, region: RegionDecomposition, p: EAMPotential, F: float, N: int) -> float:
+    """Smallest eigenvalue of H u = lambda L u on zero-mean displacements,
+    the first value of :func:`min_eig_numeric` without its O(N) mode: the
+    cost does not depend on N."""
+    return _min_eig(model, region, p, F, N)[0]
 
 
 def min_eig_numeric(
@@ -250,25 +312,16 @@ def min_eig_numeric(
     decrements (when they shrink) and 4 times further each time.  Bisection
     closes the bracket to ~1e-14 relative; the mode integrates one
     inverse-iteration step from the start vector with the final lower end's
-    factor, zero off the core.
+    factor, zero off the core.  :func:`lambda_min` gives lambda_min alone.
     """
-    if region.N != N:
-        raise ValueError(f"region size {region.N} does not match N={N}")
+    lam, where = _min_eig(model, region, p, F, N)
     grid = ChainGrid(N)
     if model == ModelKind.ATOMISTIC:
-        rep = fourier_spectrum(p, F, N)
-        mode = PeriodicField.displacement(grid, np.cos(np.pi * rep.min_mode * grid.positions()))
-        return rep.min_eigenvalue, mode * (1.0 / norm_l2eps(diff(mode, 1)))
-    core, core_bands, a_f = strain_hessian_blocks(model, region, p, F)
-    strain = np.zeros(grid.period_atoms)
-    found = _core_min_eig(core_bands.T, a_f - 1e-14 * max(1.0, abs(a_f))) if len(core) else None
-    if found is None:
-        i = core[-1] + 1 if len(core) else 0
-        strain[[i % len(strain), (i + 1) % len(strain)]] = 1.0, -1.0
-        lam = a_f
+        mode = PeriodicField.displacement(grid, np.cos(np.pi * where * grid.positions()))
     else:
-        lam, strain[core] = found
-    mode = displacement_from_strain(grid, strain)
+        strain = np.zeros(grid.period_atoms)
+        strain[where[0]] = where[1]
+        mode = displacement_from_strain(grid, strain)
     return lam, mode * (1.0 / norm_l2eps(diff(mode, 1)))
 
 
@@ -339,15 +392,18 @@ def critical_strain(
     the discrete modes is positive; a coupled model is stable when its
     strain Hessian Q is positive definite (lambda_min <= A_F, see
     :func:`min_eig_numeric`): when A_F > 0 and the banded Cholesky of its
-    core block succeeds (:func:`strain_solver`).  Deterministic.
+    core block succeeds (:func:`strain_solver`).  Each step costs the same
+    at every N.  Deterministic; ``tol`` must be finite and positive.
     """
     if region.N != N:
         raise ValueError(f"region size {region.N} does not match N={N}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"bisection tolerance must be finite and positive, got tol={tol}")
     f_lo, f_hi = float(bracket[0]), float(bracket[1])
     if not 0 < f_lo < f_hi < math.inf:
         raise BracketError(f"bad bracket ({f_lo}, {f_hi})")
     if model == ModelKind.ATOMISTIC:
-        stable = lambda F: fourier_spectrum(p, F, N).min_eigenvalue > 0  # noqa: E731
+        stable = lambda F: _atomistic_min(coefficients(p, F), N)[0] > 0  # noqa: E731
     else:
         stable = lambda F: strain_solver(model, region, p, F) is not None  # noqa: E731
     lo_stable = stable(f_lo)

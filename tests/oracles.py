@@ -277,6 +277,25 @@ def dense_generalized_eigenvalues(h_dense: np.ndarray, l_dense: np.ndarray) -> n
     return scipy.linalg.eigh(basis.T @ h_dense @ basis, basis.T @ l_dense @ basis, eigvals_only=True)
 
 
+def loop_atomistic_min(c, N: int) -> float:
+    """Minimum of the stability cubic lambda_F(s_k) = A + B s + C s^2 + D s^3,
+    s_k = 4 sin^2(k pi / 2N), over every mode k = 1..N, by an explicit loop.
+
+    The values are formed for all modes at once in the spectrum's own order
+    of operations: numpy's array power and libm's scalar power round s^3
+    differently, so a per-mode scalar evaluation would not reproduce the
+    spectrum's bits.
+    """
+    k = np.arange(1, N + 1)
+    s = 4.0 * np.sin(k * np.pi / (2 * N)) ** 2
+    lam = c.A + c.B * s + c.C * s**2 + c.D * s**3
+    best = float(lam[0])
+    for i in range(1, N):
+        if lam[i] < best:
+            best = float(lam[i])
+    return best
+
+
 def dual_norm_by_maximization(t: PeriodicField, l_dense: np.ndarray) -> float:
     """max <T, w>/||Dw|| over the zero-mean subspace via the rank-one pencil."""
     grid = t.grid

@@ -13,6 +13,7 @@ from eamchain.models import (
     ModelKind,
     STRAIN_HALF_BANDWIDTH,
     RegionDecomposition,
+    _core_basis,
     _core_rows,
     _hessian_layout,
     energy,
@@ -182,7 +183,7 @@ def test_strain_hessian_is_core_block_plus_continuum_diagonal(name):
 
 def test_cached_layouts_are_read_only():
     basis, row_class = _hessian_layout(ModelKind.QNL, 16, 4)
-    arrays = [basis, row_class, _core_rows(ModelKind.QNL, 16, 4)]
+    arrays = [basis, row_class, _core_rows(ModelKind.QNL, 16, 4), _core_basis(ModelKind.QNL, 4)]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):

@@ -1,14 +1,29 @@
-"""Deterministic cost guards of the uniform-state stability drivers at
-N = 2^12: they count banded Cholesky factorizations, not seconds, and check
-that each one factors only the 2K+4 core rows of the strain Hessian."""
+"""Deterministic cost guards of the uniform-state stability drivers.  They
+count work, not seconds: banded Cholesky factorizations at N = 2^12, each of
+only the 2K+4 core rows of the strain Hessian; evaluations of the potential,
+once per strain; layouts compiled, none per new N; and the modes of the
+stability cubic an atomistic decision evaluates, a few at any N."""
 
 import math
+from dataclasses import dataclass
+from importlib import resources
 
 import pytest
 import scipy.linalg.lapack
 
-from eamchain.models import ModelKind, RegionDecomposition
-from eamchain.stability import coefficients, critical_strain, min_eig_numeric
+from eamchain import cli, models, stability
+from eamchain.models import ModelKind, RegionDecomposition, strain_hessian
+from eamchain.potentials import (
+    EAMPotential,
+    NonFiniteError,
+    ScalarFunctionC2,
+    expdecay_density,
+    morse_pair,
+    quadratic_embedding,
+    shipped_potential,
+)
+from eamchain.solver import convergence_study, cosine_load, fixed_k_rule
+from eamchain.stability import coefficients, critical_strain, lambda_min, min_eig_numeric
 
 N = 4096
 K = 8
@@ -65,3 +80,105 @@ def test_min_eig_numeric_qcl_needs_no_bisection(default_p, factorizations):
     a_f = coefficients(default_p, 1.0).A
     assert abs(lam - a_f) <= 1e-14 * max(1.0, a_f)
     assert factorizations == []
+
+
+def counting_potential(p: EAMPotential, strains: list) -> EAMPotential:
+    """``p`` with a ``pair.d2`` that appends its argument to ``strains``;
+    every evaluation of the uniform state calls it at F and 2F."""
+
+    def d2(r):
+        strains.append(r)
+        return p.pair.d2(r)
+
+    return EAMPotential(ScalarFunctionC2(p.pair.eval, p.pair.d1, d2), p.density, p.embedding, p.name)
+
+
+def test_readme_critical_strain_run_evaluates_each_strain_once(monkeypatch, tmp_path):
+    strains = []
+    potential = counting_potential(shipped_potential("default-eam"), strains)
+    monkeypatch.setattr(cli, "load_potential_file", lambda path: potential)
+    visits = []
+    uniform = stability._uniform_derivatives
+
+    def counted(p, F):
+        visits.append(F)
+        return uniform(p, F)
+
+    monkeypatch.setattr(stability, "_uniform_derivatives", counted)
+    monkeypatch.setattr(models, "_uniform_derivatives", counted)
+    pot = str(resources.files("eamchain").joinpath("data", "default_eam.pot"))
+    args = ["--command", "critical-strain", "--potential", pot, "--F-range", "1.0:1.15"]
+    assert cli.main(args + ["--N", "32,64,128", "--K", "8", "--out-dir", str(tmp_path)]) == 0
+    # 297 decisions visit 87 strains; the potential is evaluated at each once
+    assert (len(visits), len(set(visits))) == (297, 87)
+    assert strains == [r for F in dict.fromkeys(visits) for r in (F, 2 * F)]
+
+
+def test_convergence_study_evaluates_the_strain_once(default_p):
+    strains = []
+    p = counting_potential(default_p, strains)
+    convergence_study(p, 1.0, cosine_load, fixed_k_rule(8), [64, 128, 256, 512, 1024])
+    assert strains == [1.0, 2.0]
+
+
+def test_coupled_decision_at_a_new_n_compiles_no_layout(default_p):
+    region = RegionDecomposition(2**18 + 1, K)
+    lambda_min(ModelKind.QNL, RegionDecomposition(64, K), default_p, 1.0, 64)
+    misses = models._hessian_layout.cache_info().misses
+    critical_strain(ModelKind.QNL, region, default_p, region.N, (1.0, 1.15))
+    lambda_min(ModelKind.QNL, region, default_p, 1.0, region.N)
+    assert models._hessian_layout.cache_info().misses == misses
+
+
+def test_atomistic_decision_evaluates_few_modes(default_p, reversal_p, monkeypatch):
+    sizes = []
+    symbol = stability._symbol
+
+    def counted(c, modes, N):
+        sizes.append(len(modes))
+        return symbol(c, modes, N)
+
+    monkeypatch.setattr(stability, "_symbol", counted)
+    n = 2**18
+    for p, bracket in ((default_p, (1.0, 1.15)), (reversal_p, (0.95, 1.2))):
+        critical_strain(ModelKind.ATOMISTIC, RegionDecomposition(n, K), p, n, bracket)
+    # modes 1 and N, and 7 beside each of at most two critical points
+    assert sizes and max(sizes) <= 16
+
+
+def test_non_finite_uniform_state_raises_on_every_call():
+    p = EAMPotential(morse_pair(800.0), expdecay_density(3.0), quadratic_embedding(0.05, 0.5), "steep")
+    region = RegionDecomposition(16, 4)
+    for _ in range(2):
+        with pytest.raises(NonFiniteError, match="stability coefficient"):
+            coefficients(p, 0.5)
+        for model in ModelKind:
+            with pytest.raises(NonFiniteError, match="strain Hessian"):
+                strain_hessian(model, region, p, 0.5)
+
+
+@dataclass
+class Unhashable:
+    """A callable that compares by value, so it has no hash."""
+
+    fn: object
+
+    def __call__(self, r):
+        return self.fn(r)
+
+
+def test_potential_with_unhashable_callables(default_p):
+    pair = default_p.pair
+    p = EAMPotential(
+        ScalarFunctionC2(Unhashable(pair.eval), Unhashable(pair.d1), Unhashable(pair.d2)),
+        default_p.density,
+        default_p.embedding,
+    )
+    with pytest.raises(TypeError):
+        hash(p)
+    region = RegionDecomposition(64, K)
+    for model in ModelKind:
+        assert critical_strain(model, region, p, 64, (1.0, 1.15)) == critical_strain(
+            model, region, default_p, 64, (1.0, 1.15)
+        )
+        assert lambda_min(model, region, p, 1.0, 64) == lambda_min(model, region, default_p, 1.0, 64)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eamchain.lattice import ChainGrid, diff, norm_l2eps
 from eamchain.models import Deformation, ModelKind, RegionDecomposition, hessian, strain_hessian
@@ -17,10 +19,13 @@ from eamchain.potentials import (
 )
 from eamchain.stability import (
     BracketError,
+    StabilityCoefficients,
+    _atomistic_min,
     coefficients,
     critical_strain,
     fourier_spectrum,
     lambda_cubic,
+    lambda_min,
     min_eig_numeric,
     rayleigh_quotient,
     remark_test_functions,
@@ -28,7 +33,7 @@ from eamchain.stability import (
 )
 
 from conftest import random_displacement
-from oracles import dense_generalized_eigenvalues, loglog_slope
+from oracles import dense_generalized_eigenvalues, loglog_slope, loop_atomistic_min
 
 # Frozen output of scripts/symbolic_coefficients.py: the stability cubic of
 # the default material at F = 1, derived symbolically from the per-atom
@@ -184,6 +189,57 @@ def test_qnl_stability_does_not_depend_on_n(name, bracket):
     )
 
 
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_lambda_min_is_min_eig_numeric_eigenvalue(default_p, reversal_p, model):
+    for p in (default_p, reversal_p):
+        for n in (2**6, 2**16):
+            region = RegionDecomposition(n, 8)
+            for F in (1.0, 1.1):
+                assert lambda_min(model, region, p, F, n) == min_eig_numeric(model, region, p, F, n)[0]
+
+
+_DEFAULT = shipped_potential("default-eam")
+ATOMISTIC_MIN_POTENTIALS = [
+    *(shipped_potential(name) for name in ("default-eam", "reversal-eam", "pair-morse")),
+    EAMPotential(_DEFAULT.pair, zero_function(), zero_function(), "pair-only"),
+    EAMPotential(
+        _DEFAULT.pair,
+        ScalarFunctionC2(lambda r: 1.0, lambda r: 0.0, lambda r: 0.0),
+        _DEFAULT.embedding,
+        "constant-density",
+    ),
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.sampled_from(ATOMISTIC_MIN_POTENTIALS),
+    st.floats(0.9, 1.25),
+    st.one_of(st.integers(4, 300), st.integers(4, 2**16)),
+)
+def test_atomistic_min_matches_loop_oracle(p, F, N):
+    # the candidate modes give the minimum over all N modes bitwise
+    c = coefficients(p, F)
+    assert _atomistic_min(c, N)[0] == loop_atomistic_min(c, N)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+    st.sampled_from(["cubic", "quadratic", "linear", "constant"]),
+    st.integers(4, 5000),
+)
+def test_atomistic_min_of_degenerate_cubics_matches_loop_oracle(abcd, degree, N):
+    # D = 0 leaves one critical point, C = D = 0 none: the candidates still
+    # hold the minimum of every cubic, not only of the shipped potentials'
+    a, b, c, d = abcd
+    d = d if degree == "cubic" else 0.0
+    c = c if degree in ("cubic", "quadratic") else 0.0
+    b = b if degree != "constant" else 0.0
+    coeffs = StabilityCoefficients(F=1.0, A_hat=a, A_tilde=0.0, B=b, C=c, D=d)
+    assert _atomistic_min(coeffs, N)[0] == loop_atomistic_min(coeffs, N)
+
+
 def test_atomistic_min_eig_is_the_fourier_minimum_at_large_n(default_p):
     n = 2**16
     region = RegionDecomposition(n, 8)
@@ -331,6 +387,22 @@ def test_critical_strain_bad_bracket(default_p):
     region = RegionDecomposition(16, 4)
     with pytest.raises(BracketError):
         critical_strain(ModelKind.ATOMISTIC, region, default_p, 16, (1.0, 1.02))
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_critical_strain_rejects_bad_tolerance(default_p, model, tol):
+    # tol <= 0 never returned, and tol = nan returned the bracket midpoint
+    with pytest.raises(ValueError, match="tolerance"):
+        critical_strain(model, RegionDecomposition(16, 4), default_p, 16, (1.0, 1.15), tol=tol)
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_critical_strain_stops_at_adjacent_floats(default_p, model):
+    # a tolerance below the float spacing ends where the bracket cannot shrink
+    region = RegionDecomposition(16, 4)
+    f_star = critical_strain(model, region, default_p, 16, (1.0, 1.15), tol=1e-300)
+    assert abs(f_star - critical_strain(model, region, default_p, 16, (1.0, 1.15), tol=1e-15)) <= 1e-15
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
