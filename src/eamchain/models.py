@@ -33,16 +33,15 @@ of every template has the density 2 rho(F) + 2 rho(2F), so the potential
 enters only through seven scalars: phi''(F), phi''(2F), G' rho''(F),
 G' rho''(2F), G'' rho'(F)^2, G'' rho'(F) rho'(2F) and G'' rho'(2F)^2.  A
 strain Hessian row is fixed by the region classes of the atoms that reach
-it, so a basis of exact small rationals, compiled once per
-``(model, N, K)``, maps the seven scalars to the bands of each such row
-class by one matrix-vector product, and a gather spreads those bands to
-rows.  Continuum atoms couple no two bonds, so a coupled strain Hessian is
+it.  Continuum atoms couple no two bonds, so a coupled strain Hessian is
 a core block on the 2K+4 bonds around the atomistic region plus A_F times
-the identity.  The region classes around the core are the same on every
-grid, so the core's basis rows are compiled once per ``(model, K)``, and
-the stability decisions built on them cost the same, and give the same
-bits, at every N.  The scalars come from derivatives of the potential
-memoized per strain.
+the identity, and the atomistic one is circulant.  The region classes
+around the core are the same on every grid, so a basis of exact small
+rationals, compiled once per ``(model, K)``, maps the seven scalars to the
+bands of the core rows and of one far row by one matrix-vector product;
+every strain Hessian, and the stability decisions built on it, come from
+those bands and give the same bits at every N.  The scalars come from
+derivatives of the potential memoized per strain.
 
 Conventions: the model energy is the interaction energy per period (dead
 loads are handled in :mod:`eamchain.solver`).  Gradients g satisfy
@@ -100,16 +99,19 @@ class RegionDecomposition:
     """Atomistic core of half-width K, two transition atoms per side,
     Cauchy-Born continuum elsewhere.
 
-    Valid for 0 <= K < N - 2.  The tables stay exact over that whole range,
-    also where the mirrored transition stencils share sites across the
-    period (K >= N - 5): the coupled pair energy matches its per-atom
-    formulas and the uniform state carries no ghost force.
+    Valid for N >= 4, the smallest grid (:class:`ChainGrid`), and
+    0 <= K < N - 2.  The tables stay exact over that whole range, also where
+    the mirrored transition stencils share sites across the period
+    (K >= N - 5): the coupled pair energy matches its per-atom formulas and
+    the uniform state carries no ghost force.
     """
 
     N: int
     K: int
 
     def __post_init__(self) -> None:
+        if self.N < 4:
+            raise ValueError(f"need N >= 4, got N={self.N}")
         if not 0 <= self.K < self.N - 2:
             raise ValueError(f"need 0 <= K < N-2, got K={self.K}, N={self.N}")
 
@@ -402,21 +404,24 @@ _N_SCALARS = 7
 
 
 @lru_cache(maxsize=64)
-def _hessian_layout(kind: ModelKind, N: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strain Hessian of one model on one grid as a linear map of the seven
-    scalars of :func:`_uniform_scalars`; read-only (basis, row_class).
+def _core_basis(kind: ModelKind, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (core offsets, basis): the strain Hessian rows of one model
+    as linear maps of the seven scalars of :func:`_uniform_scalars`.
 
     An atom's second derivatives by its bonds ``_OFFSETS`` are one 4 x 4
     element matrix per scalar, exact small rationals summed over its
     template: per term with bond counts n, ``phi''/2`` and ``w c G' rho''``
     on n n^T; per group, ``w G''`` on L L^T, where the group density's bond
-    derivatives L split by rho'(F) and rho'(2F).  Row k of the strain
-    Hessian collects coupling (a, a + d) of atom k - a into band d, so rows
-    whose atoms k - a lie in the same region classes have the same bands:
-    row k belongs to row class ``c = row_class[k]``, whose band d is
-    ``basis[4 c + d] @ scalars``.  QCL ignores K, as in
-    :func:`_region_classes`.
+    derivatives L split by rho'(F) and rho'(2F).  Row k collects coupling
+    (a, a + d) of atom k - a into band d, so its bands depend only on the
+    region classes of the atoms k - a.  The core, rows N-K-2+offset (bonds
+    -K-1 .. K+2, never wrapping as K < N-2), is empty for QCL and the
+    atomistic chain; every other row is the far row.  Those classes are the same on every grid N >= K+3, so
+    the smallest one gives them: ``basis`` holds the four bands of each core
+    row and then of the far row, band d of row j being
+    ``basis[4 j + d] @ scalars``.  QCL ignores K, as in :func:`_region_classes`.
     """
+    N = max(K, 0) + 3
     classes = _region_classes(kind, N, K)
     m = len(_OFFSETS)
     element = np.zeros((len(classes), _N_SCALARS, m, m))
@@ -437,54 +442,17 @@ def _hessian_layout(kind: ModelKind, N: int, K: int) -> tuple[np.ndarray, np.nda
     class_of = np.empty(2 * N, dtype=np.intp)
     for i, (_, mask) in enumerate(classes):
         class_of[mask] = i
-    # row k's code: the region classes of its atoms k - a, one digit per offset
-    base = len(classes)
-    code = sum(np.roll(class_of, a) * base**i for i, a in enumerate(_OFFSETS))
-    codes, row_class = np.unique(code, return_inverse=True)
-    digits = codes[:, None] // base ** np.arange(m) % base
-    basis = np.zeros((len(codes), STRAIN_HALF_BANDWIDTH + 1, _N_SCALARS))
+    offsets = np.arange(2 * K + 4 if kind == ModelKind.QNL else 0)
+    rows = N - K - 2 + np.arange(len(offsets) + 1)
+    atoms = class_of[(rows[:, None] - np.array(_OFFSETS)) % (2 * N)]
+    basis = np.zeros((len(rows), STRAIN_HALF_BANDWIDTH + 1, _N_SCALARS))
     for d in range(STRAIN_HALF_BANDWIDTH + 1):
         for i in range(m - d):
-            basis[:, d] += element[digits[:, i], :, i, i + d]
+            basis[:, d] += element[atoms[:, i], :, i, i + d]
     basis = basis.reshape(-1, _N_SCALARS)
-    for a in (basis, row_class):
+    for a in (offsets, basis):
         a.flags.writeable = False
-    return basis, row_class
-
-
-@lru_cache(maxsize=64)
-def _core_rows(kind: ModelKind, N: int, K: int) -> np.ndarray:
-    """Rows of the strain Hessian outside of which every row is diagonal
-    with one basis row of :func:`_hessian_layout`, A_F: the one cyclic run
-    of bonds -K-1 .. K+2 (rows N-K-2 .. N+K+1), 2K+4 rows, for QNL, whose
-    continuum atoms couple no two bonds; none for QCL; all for the
-    atomistic chain.  Read-only.
-    """
-    if kind == ModelKind.ATOMISTIC:
-        core = np.arange(2 * N)
-    elif kind == ModelKind.QCL:
-        core = np.arange(0)
-    else:
-        core = (N - K - 2 + np.arange(2 * K + 4)) % (2 * N)
-    core.flags.writeable = False
-    return core
-
-
-@lru_cache(maxsize=64)
-def _core_basis(kind: ModelKind, K: int) -> np.ndarray:
-    """Basis rows of a coupled model's core rows and then of one continuum
-    row, in the layout of :func:`_hessian_layout` with four bands per row;
-    read-only.  A row's bands depend only on the region classes of the
-    atoms that reach it, and around the core those are the same on every
-    grid N >= K+3, so the smallest grid gives them for all N.
-    """
-    N = max(K, 0) + 3
-    basis, row_class = _hessian_layout(kind, N, K)
-    core = _core_rows(kind, N, K)
-    rows = np.append(core, (core[-1] + 1) % (2 * N) if len(core) else 0)
-    out = basis.reshape(-1, STRAIN_HALF_BANDWIDTH + 1, _N_SCALARS)[row_class[rows]].reshape(-1, _N_SCALARS)
-    out.flags.writeable = False
-    return out
+    return offsets, basis
 
 
 def _uniform_scalars(p: EAMPotential, F: float) -> np.ndarray:
@@ -499,6 +467,16 @@ def _uniform_scalars(p: EAMPotential, F: float) -> np.ndarray:
         scalars = np.array([phi2, phi2_2, g1 * r2, g1 * r2_2, g2 * r1 * r1, g2 * r1 * r1_2, g2 * r1_2 * r1_2], dtype=float)
     require_finite(p, F, "strain Hessian", scalars)
     return scalars
+
+
+def _uniform_bands(model: ModelKind, region: RegionDecomposition, p: EAMPotential, F: float):
+    """(core rows at N, core bands, far-row bands) of the strain Hessian at
+    y_F, from :func:`_core_basis`."""
+    scalars = _uniform_scalars(p, F)
+    K = region.K if model == ModelKind.QNL else -1
+    offsets, basis = _core_basis(model, K)
+    bands = (basis @ scalars).reshape(-1, STRAIN_HALF_BANDWIDTH + 1)
+    return region.N - K - 2 + offsets, bands[:-1], bands[-1]
 
 
 def strain_hessian(
@@ -516,10 +494,11 @@ def strain_hessian(
     state, so ``Q 1 = A_F 1`` (A_F the continuum modulus).  Raises
     NonFiniteError if a scalar is not finite.
     """
-    scalars = _uniform_scalars(p, F)
-    basis, row_class = _hessian_layout(model, region.N, region.K if model == ModelKind.QNL else -1)
-    class_bands = (basis @ scalars).reshape(-1, STRAIN_HALF_BANDWIDTH + 1)
-    return SymmetricBandedOperator(ChainGrid(region.N), class_bands[row_class])
+    core, core_bands, far = _uniform_bands(model, region, p, F)
+    bands = np.empty((2 * region.N, len(far)))
+    bands[:] = far
+    bands[core] = core_bands
+    return SymmetricBandedOperator(ChainGrid(region.N), bands)
 
 
 def strain_hessian_blocks(
@@ -536,10 +515,8 @@ def strain_hessian_blocks(
     """
     if model == ModelKind.ATOMISTIC:
         raise ValueError("the atomistic strain Hessian has no continuum block")
-    scalars = _uniform_scalars(p, F)
-    K = region.K if model == ModelKind.QNL else -1
-    bands = (_core_basis(model, K) @ scalars).reshape(-1, STRAIN_HALF_BANDWIDTH + 1)
-    return _core_rows(model, region.N, K), bands[:-1], float(bands[-1, 0])
+    core, core_bands, far = _uniform_bands(model, region, p, F)
+    return core, core_bands, float(far[0])
 
 
 def hessian(

@@ -301,18 +301,14 @@ def min_eig_numeric(
     Hessian Q on zero-sum strains.  Q is a core block plus A_F I on two or
     more rows, and the block has eigenvalue A_F on constants, so lambda_min
     is A_F, with the two-bond mode e_i - e_j off the core, unless a probe of
-    the block's banded Cholesky a tolerance below A_F fails.  Then, on the
-    core alone: a step doubled down from the Rayleigh quotient of a
-    fixed-seed zero-sum start vector (at most the probe) until the shifted
-    block is definite gives the lower end; two inverse-iteration steps with
-    that factor, means removed, give a Rayleigh quotient, the upper end.
-    Shifts below it lower the upper end while definiteness fails and become
-    the lower end once it holds, starting at the Aitken estimate
-    dec2^2 / (dec1 - dec2) of the quotient's remaining error from its two
-    decrements (when they shrink) and 4 times further each time.  Bisection
-    closes the bracket to ~1e-14 relative; the mode integrates one
-    inverse-iteration step from the start vector with the final lower end's
-    factor, zero off the core.  :func:`lambda_min` gives lambda_min alone.
+    the block's banded Cholesky a tolerance below A_F fails.  Then the
+    smallest eigenvalue of the core block lies above its Gershgorin lower
+    bound and at most its smallest diagonal entry and the probe: bisection
+    on whether the shifted block factors (Sylvester inertia) closes that
+    bracket, from just below the bound, to 1e-14 relative.  The mode is one
+    inverse-iteration step from a fixed-seed zero-sum start vector with the
+    factor at the final lower end, its mean removed, zero off the core.
+    :func:`lambda_min` gives lambda_min alone.
     """
     lam, where = _min_eig(model, region, p, F, N)
     grid = ChainGrid(N)
@@ -327,7 +323,7 @@ def min_eig_numeric(
 
 def _core_min_eig(ab_q: np.ndarray, cap: float):
     """(lambda, x): smallest eigenvalue on zero-sum vectors and a mode of the
-    core block in lower band storage ``ab_q``, by the bracket of
+    core block in lower band storage ``ab_q``, by the bisection of
     :func:`min_eig_numeric`; None if the block minus cap I is definite."""
     solve_lo = None  # solve with the factor at the highest shift found definite
 
@@ -340,41 +336,22 @@ def _core_min_eig(ab_q: np.ndarray, cap: float):
             solve_lo = solve
         return solve is not None
 
-    def inverse_step(x: np.ndarray) -> np.ndarray:
-        y = solve_lo(x)
-        return y - y.mean()
-
-    def rayleigh(x: np.ndarray) -> float:
-        return float(np.dot(x, scipy.linalg.blas.dsbmv(len(ab_q) - 1, 1.0, ab_q, x, lower=1)) / np.dot(x, x))
-
     if definite(cap):
         return None
+    # Gershgorin bound: row i's off-diagonal entries are ab_q[1:, i] and
+    # ab_q[d, i - d]; the zero padding lies past the block's last row
+    radius = np.abs(ab_q[1:]).sum(axis=0)
+    for d in range(1, len(ab_q)):
+        radius[d:] += np.abs(ab_q[d, :-d])
+    bound = float(np.min(ab_q[0] - radius))
+    scale = max(1.0, abs(bound), abs(cap))
+    lo, hi = _bisect(definite, bound - 1e-8 * scale, min(cap, float(np.min(ab_q[0]))), 1e-14 * scale)
+    if solve_lo is None and not definite(lo):
+        raise ArithmeticError(f"core block is not definite below its Gershgorin bound {bound}")
     start = np.random.default_rng(0).standard_normal(ab_q.shape[1])
     start -= start.mean()
-    rq0 = rayleigh(start)
-    hi = min(rq0, cap)
-    step = max(1.0, abs(hi))
-    while not definite(hi - step):
-        step *= 2.0
-    lo = hi - step
-    x1 = inverse_step(start)
-    x2 = inverse_step(x1)
-    rq1, rq2 = rayleigh(x1), rayleigh(x2)
-    dec1, dec2 = rq0 - rq1, rq1 - rq2
-    hi = min(hi, rq2)
-    tol = 1e-14 * max(1.0, abs(lo), abs(hi))
-    if 0 < dec2 < dec1:
-        delta, growth = max(dec2 * dec2 / (dec1 - dec2), tol), 4.0
-    else:
-        delta = growth = math.inf
-    while hi - delta > lo:
-        if definite(hi - delta):
-            lo = hi - delta
-            break
-        hi -= delta
-        delta *= growth
-    lo, hi = _bisect(definite, lo, hi, tol)
-    return 0.5 * (lo + hi), inverse_step(start)
+    x = solve_lo(start)
+    return 0.5 * (lo + hi), x - x.mean()
 
 
 def critical_strain(

@@ -277,6 +277,25 @@ def dense_generalized_eigenvalues(h_dense: np.ndarray, l_dense: np.ndarray) -> n
     return scipy.linalg.eigh(basis.T @ h_dense @ basis, basis.T @ l_dense @ basis, eigvals_only=True)
 
 
+def dense_core_min_eig(region: RegionDecomposition, p, F: float) -> float:
+    """Smallest eigenvalue, on zero-sum vectors, of the QNL strain Hessian's
+    core block at y_F: the principal submatrix on bonds -K-1 .. K+2 of the
+    dense loop-oracle Q, by a dense symmetric eigensolver."""
+    grid = ChainGrid(region.N)
+    n = grid.period_atoms
+    bands = loop_strain_hessian_bands(ModelKind.QNL, region, p, np.full(n, F))
+    q = np.zeros((n, n))
+    rows = np.arange(n)
+    for d in range(bands.shape[1]):
+        q[rows, (rows + d) % n] += bands[:, d]
+        if d:
+            q[(rows + d) % n, rows] += bands[:, d]
+    core = [grid.index(b) for b in range(-region.K - 1, region.K + 3)]
+    block = q[np.ix_(core, core)]
+    basis = np.asarray(zero_mean_basis(len(core)))
+    return float(scipy.linalg.eigh(basis.T @ block @ basis, eigvals_only=True)[0])
+
+
 def loop_atomistic_min(c, N: int) -> float:
     """Minimum of the stability cubic lambda_F(s_k) = A + B s + C s^2 + D s^3,
     s_k = 4 sin^2(k pi / 2N), over every mode k = 1..N, by an explicit loop.

@@ -14,8 +14,6 @@ from eamchain.models import (
     STRAIN_HALF_BANDWIDTH,
     RegionDecomposition,
     _core_basis,
-    _core_rows,
-    _hessian_layout,
     energy,
     force_scale,
     gradient,
@@ -155,13 +153,12 @@ def test_small_chain_hessians_match_loop_oracle(chain):
 
 @pytest.mark.parametrize("name", sorted(POTENTIALS))
 def test_strain_hessian_is_core_block_plus_continuum_diagonal(name):
-    # the core is one cyclic run of 2K+4 rows for QNL, none for QCL and all
-    # for the atomistic chain; every other row is diagonal, bitwise A_F, and
-    # the core bands as a plain (unwrapped) band matrix rebuild Q exactly
+    # the core is one cyclic run of 2K+4 rows for QNL and none for QCL;
+    # every other row is diagonal, bitwise A_F, and the core bands as a
+    # plain (unwrapped) band matrix rebuild Q exactly
     p = POTENTIALS[name]
     for n_half in range(4, 21):
         n = 2 * n_half
-        assert np.array_equal(_core_rows(ModelKind.ATOMISTIC, n_half, -1), np.arange(n))
         for K in range(n_half - 2):
             region = RegionDecomposition(n_half, K)
             for model in (ModelKind.QNL, ModelKind.QCL):
@@ -182,9 +179,7 @@ def test_strain_hessian_is_core_block_plus_continuum_diagonal(name):
 
 
 def test_cached_layouts_are_read_only():
-    basis, row_class = _hessian_layout(ModelKind.QNL, 16, 4)
-    arrays = [basis, row_class, _core_rows(ModelKind.QNL, 16, 4), _core_basis(ModelKind.QNL, 4)]
-    for a in arrays:
+    for a in _core_basis(ModelKind.QNL, 4):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0

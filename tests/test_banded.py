@@ -12,13 +12,14 @@ from eamchain.potentials import shipped_potential
 from eamchain.solver import NotPositiveDefiniteError, cosine_load, solve_linearized
 from eamchain.stability import (
     coefficients,
+    lambda_min,
     min_eig_numeric,
     rayleigh_quotient,
     strain_metric_operator,
     strain_solver,
 )
 
-from oracles import dense_generalized_eigenvalues, zero_mean_basis
+from oracles import dense_core_min_eig, dense_generalized_eigenvalues, zero_mean_basis
 
 POTENTIALS = {name: shipped_potential(name) for name in ("default-eam", "reversal-eam", "pair-morse")}
 
@@ -69,6 +70,17 @@ def test_banded_backend_matches_dense_oracle(chain):
         basis = zero_mean_basis(grid.period_atoms)
         x = basis @ np.linalg.solve(basis.T @ h_dense @ basis, basis.T @ load.field.values)
         np.testing.assert_allclose(u, x, rtol=0, atol=1e-11 * np.max(np.abs(x)))
+
+
+@pytest.mark.parametrize("K", [200, 500])
+def test_qnl_lambda_min_matches_dense_core_at_large_k(reversal_p, K):
+    # the drawn chains above stop at K = 37; the core eigenvalue lies below
+    # A_F for this potential, so these cases exercise the core bisection
+    region = RegionDecomposition(K + 3, K)
+    for F in (0.95, 1.0, 1.2):
+        lam = lambda_min(ModelKind.QNL, region, reversal_p, F, region.N)
+        expected = min(coefficients(reversal_p, F).A, dense_core_min_eig(region, reversal_p, F))
+        assert abs(lam - expected) <= 1e-13 * max(1.0, abs(lam))
 
 
 @pytest.mark.parametrize("N,w", [(4, 3), (4, 4), (5, 4), (16, 3), (16, 4)])

@@ -68,10 +68,11 @@ def test_min_eig_numeric_factorization_count(default_p, reversal_p, factorizatio
     assert factorizations == [CORE]
     factorizations.clear()
     min_eig_numeric(ModelKind.QNL, RegionDecomposition(N, K), reversal_p, 1.0, N)
-    # the core minimum lies below A_F: the failed probe, a definite lower
-    # end, then 47 shifts and halvings down to 1e-14 relative, each of the
-    # core alone; the mode reuses the factor at the final lower end
-    assert factorizations == [CORE] * 49
+    # the core minimum lies below A_F: the failed probe, then 42 halvings,
+    # each of the core alone, from the block's Gershgorin bound and smallest
+    # diagonal entry down to 1e-14 relative; the mode reuses the factor at
+    # the final lower end
+    assert factorizations == [CORE] * 43
 
 
 def test_min_eig_numeric_qcl_needs_no_bisection(default_p, factorizations):
@@ -124,10 +125,11 @@ def test_convergence_study_evaluates_the_strain_once(default_p):
 def test_coupled_decision_at_a_new_n_compiles_no_layout(default_p):
     region = RegionDecomposition(2**18 + 1, K)
     lambda_min(ModelKind.QNL, RegionDecomposition(64, K), default_p, 1.0, 64)
-    misses = models._hessian_layout.cache_info().misses
+    misses = models._core_basis.cache_info().misses
     critical_strain(ModelKind.QNL, region, default_p, region.N, (1.0, 1.15))
     lambda_min(ModelKind.QNL, region, default_p, 1.0, region.N)
-    assert models._hessian_layout.cache_info().misses == misses
+    strain_hessian(ModelKind.QNL, region, default_p, 1.0)
+    assert models._core_basis.cache_info().misses == misses
 
 
 def test_atomistic_decision_evaluates_few_modes(default_p, reversal_p, monkeypatch):

@@ -45,6 +45,12 @@ def test_region_decomposition_classification():
     RegionDecomposition(16, 0)  # empty-core region is allowed
 
 
+def test_region_needs_the_smallest_grid():
+    with pytest.raises(ValueError, match="N >= 4"):
+        RegionDecomposition(3, 0)
+    RegionDecomposition(4, 1)
+
+
 def test_electron_density_kinds(default_p, rng):
     grid = ChainGrid(8)
     yF = Deformation.uniform(grid, 1.1)
