@@ -274,18 +274,16 @@ def _run_validate(cfg: ExperimentConfig) -> int:
     checks.append(("strain-identities", worst_id <= 1e-12, f"max rel deviation {worst_id:.3e}"))
 
     n = cfg.N_values[0]
+    grid = ChainGrid(n)
     region = RegionDecomposition(n, cfg.k_for(n))
     worst_gf = 0.0
     for f_val in cfg.F_values:
-        grid = ChainGrid(n)
         scale = force_scale(p, f_val, grid)
         for model in ModelKind:
             g = gradient(model, region, p, Deformation.uniform(grid, f_val))
             worst_gf = np.maximum(worst_gf, np.max(np.abs(g.values)) / scale)  # keeps NaN
     checks.append(("ghost-force", worst_gf <= 1e-12, f"max|g|/scale {worst_gf:.3e}"))
 
-    grid = ChainGrid(16)
-    region16 = RegionDecomposition(16, 4)
     worst_fd = 0.0
     h = 1e-5
 
@@ -300,10 +298,10 @@ def _run_validate(cfg: ExperimentConfig) -> int:
                 u = strain_scaled(0.05)
                 w = strain_scaled(0.1)
                 y = Deformation(f_val, u)
-                g = gradient(model, region16, p, y)
+                g = gradient(model, region, p, y)
                 paired = grid.epsilon * float(np.dot(g.values, w.values))
-                e_plus = energy(model, region16, p, Deformation(f_val, u + h * w))
-                e_minus = energy(model, region16, p, Deformation(f_val, u + (-h) * w))
+                e_plus = energy(model, region, p, Deformation(f_val, u + h * w))
+                e_minus = energy(model, region, p, Deformation(f_val, u + (-h) * w))
                 fd = (e_plus - e_minus) / (2 * h)
                 worst_fd = np.maximum(worst_fd, abs(paired - fd) / max(abs(fd), 1e-12))
     checks.append(("gradient-vs-energy", worst_fd <= 1e-6, f"max rel deviation {worst_fd:.3e}"))

@@ -21,11 +21,11 @@ The three couplings differ only in their tables:
   completion consistent with a symmetric energy.
 
 Each region class has one constant template, its table with bonds relative
-to the atom.  For one ``(model, N, K)`` the templates are compiled once into
-flat arrays: a weight per group and, per term, its group, coefficient and
-two bond indices.  Energies and gradients, at any deformed state, are then
-one chain-rule pass of gathers and ``np.bincount`` over all terms; no loop
-visits single atoms.
+to the atom, and covers runs of consecutive sites.  A term argument is one of
+three per-bond kinds, r_b, r_b + r_{b+1} or r_b + r_b, each shared by two
+atoms, so energies and gradients at any deformed state evaluate each
+potential member once per kind and bond, and sum group densities, run by
+run, from shifted slices of these values; no loop visits single atoms.
 
 Hessians are only built at the uniform state y_F, the point of the
 stability analysis.  There every term argument is F or 2F and every group
@@ -205,11 +205,8 @@ class SymmetricBandedOperator:
 
 
 # --------------------------------------------------------------------------
-# Term tables.
-#
-# A template is the table of one region class relative to its atom l: density
-# groups (weight, [(coeff, offsets), ...]), where offsets are the bond labels
-# minus l.  Each density term also carries half a pair term at its argument.
+# Term tables.  A template is the table of one region class with bond offsets
+# (labels minus l) in place of the bond labels of atom l.
 # --------------------------------------------------------------------------
 
 #: Exact nearest/next-nearest stencil centred at atom l.
@@ -219,98 +216,96 @@ _CONTINUUM = ((HALF, ((2.0, (0,)), (2.0, (0, 0)))), (HALF, ((2.0, (1,)), (2.0, (
 #: Positive-side transition atom l (K+1 or K+2): a one-sided exact density
 #: toward the core plus half a Cauchy-Born density one site further out.
 _TRANSITION = ((HALF, ((2.0, (0,)), (2.0, (0, -1)))), (HALF, ((2.0, (1,)), (2.0, (1, 1)))))
-
-
-def _reflect(template):
-    """Template of the mirror atom -l: offset o -> 1-o."""
-    return tuple(
-        (w, tuple((c, tuple(1 - o for o in offsets)) for c, offsets in terms))
-        for w, terms in template
-    )
+#: Its mirror, the transition atom -l: offset o -> 1-o.
+_MIRROR = ((HALF, ((2.0, (1,)), (2.0, (1, 2)))), (HALF, ((2.0, (0,)), (2.0, (0, 0)))))
 
 
 def _region_classes(kind: ModelKind, N: int, K: int) -> list:
-    """(template, site mask) per region class of one model on one grid.
+    """(template, first array site, length) per run of one region class of
+    one model on one grid; the QNL continuum is two runs, around the others.
     QCL ignores K (own all-continuum table, never a degenerate QNL region)."""
     n = 2 * N
-    l = np.arange(-N + 1, N + 1)
     if kind == ModelKind.ATOMISTIC:
-        return [(_ATOM, np.ones(n, bool))]
+        return [(_ATOM, 0, n)]
     if kind == ModelKind.QCL:
-        return [(_CONTINUUM, np.ones(n, bool))]
-    core = np.abs(l) <= K
-    outer = (l == K + 1) | (l == K + 2)
-    inner = (l == -K - 1) | (l == -K - 2)
+        return [(_CONTINUUM, 0, n)]
+    core = N - 1 - K  # array index of atom -K
     return [
-        (_ATOM, core),
-        (_TRANSITION, outer),
-        (_reflect(_TRANSITION), inner),
-        (_CONTINUUM, ~(core | outer | inner)),
+        (_CONTINUUM, 0, core - 2),
+        (_MIRROR, core - 2, 2),
+        (_ATOM, core, 2 * K + 1),
+        (_TRANSITION, core + 2 * K + 1, 2),
+        (_CONTINUUM, core + 2 * K + 3, n - core - 2 * K - 3),
     ]
 
 
-class _Table(NamedTuple):
-    """One model's term table on one grid, flattened.
+#: Argument kinds r_b, s_b = r_b + r_{b+1} and t_b = r_b + r_b of the bond
+#: lists [o], [o, o -+ 1] and [o, o], by the offsets of the strains they sum.
+_R, _S, _T = range(3)
+_BONDS = ((0,), (0, 1), (0, 0))
 
-    Groups and terms are laid out region class by class, then slot by slot,
-    then site by site, so the terms of one template slot are a contiguous
-    slice.  ``b1`` of a nearest-neighbour term is the sentinel index n,
-    which reads an appended zero strain.
-    """
 
-    weight: np.ndarray
-    group: np.ndarray
-    coeff: np.ndarray
-    b0: np.ndarray
-    b1: np.ndarray
+class _Stencil(NamedTuple):
+    """One model on one grid, O(1) in N: ``(w c, c, kind, block, at)`` per
+    density term, block its group's slice of the group densities and at its
+    arguments' slice of a kind's arguments padded by one entry each side;
+    the group ``weights`` and, per kind used, the ``pair`` weights (half the
+    number of terms at each argument) run-length coded for ``np.repeat``."""
+
+    terms: tuple
+    weights: tuple
+    pair: tuple  # (kind, values, lengths)
+
+
+def _run_lengths(v: np.ndarray) -> tuple:
+    """(values, lengths) of the runs of equal entries of v, as tuples."""
+    starts = np.flatnonzero(np.diff(v, prepend=np.nan))
+    return tuple(v[starts]), tuple(np.diff(starts, append=len(v)))
 
 
 @lru_cache(maxsize=64)
-def _site_tables(kind: ModelKind, N: int, K: int) -> _Table:
-    """Term table of one model on one grid."""
-    n = 2 * N
-    weight, group, coeff, b0, b1 = [], [], [], [], []
-    n_groups = 0
-    for template, mask in _region_classes(kind, N, K):
-        sites = np.flatnonzero(mask)
-        m = len(sites)
-        for w, terms in template:
-            weight.append(np.full(m, w))
-            for c, offsets in terms:
-                group.append(np.arange(n_groups, n_groups + m))
-                coeff.append(np.full(m, c))
-                b0.append((sites + offsets[0]) % n)
-                b1.append((sites + offsets[1]) % n if len(offsets) == 2 else np.full(m, n))
-            n_groups += m
-    arrays = [np.concatenate(a) for a in (weight, group, coeff, b0, b1)]
-    for a in arrays:
-        a.flags.writeable = False
-    return _Table(*arrays)
-
-
-def _tables_for(model: ModelKind, region: RegionDecomposition | None, grid: ChainGrid) -> _Table:
-    if model == ModelKind.QNL:
-        if region is None:
-            raise ValueError("QNL model needs a region decomposition")
-        if region.N != grid.N:
-            raise ValueError("region and grid sizes disagree")
-        return _site_tables(model, grid.N, region.K)
-    return _site_tables(model, grid.N, -1)
+def _stencil(model: ModelKind, region: RegionDecomposition | None, grid: ChainGrid) -> _Stencil:
+    if model == ModelKind.QNL and (region is None or region.N != grid.N):
+        raise ValueError("QNL model needs a region decomposition of the grid's size")
+    n = grid.period_atoms
+    terms, weights, pos = [], [], 0
+    for template, start, m in _region_classes(model, grid.N, region.K if model == ModelKind.QNL else -1):
+        for w, group_terms in template:
+            weights.append(np.full(m, w))
+            for c, b in group_terms:
+                k = _BONDS.index(tuple(o - min(b) for o in sorted(b)))
+                at = start + min(b) + 1
+                terms.append((w * c, c, k, slice(pos, pos + m), slice(at, at + m)))
+            pos += m
+    pair = np.zeros((len(_BONDS), n))
+    for _, _, k, _, at in terms:
+        np.add.at(pair[k], np.arange(at.start - 1, at.stop - 1) % n, HALF)
+    pair = tuple((k, *_run_lengths(pair[k])) for k in sorted({t[2] for t in terms}))
+    return _Stencil(tuple(terms), _run_lengths(np.concatenate(weights)), pair)
 
 
 def _on(fn, x: np.ndarray) -> np.ndarray:
-    """fn applied elementwise to x; a constant result is broadcast to x."""
+    """fn on the array x; a constant result is broadcast (read-only) to x."""
     y = fn(x)
     return y if np.shape(y) == x.shape else np.broadcast_to(y, x.shape)
 
 
-def _densities(table: _Table, r: np.ndarray, p: EAMPotential):
-    """Term arguments r[b0] + r[b1] and summed group densities."""
-    padded = np.append(r, 0.0)
-    arg = padded[table.b0]
-    arg += padded[table.b1]
-    dbar = np.bincount(table.group, table.coeff * _on(p.density.eval, arg), len(table.weight))
-    return arg, dbar
+def _arguments(r: np.ndarray, kind: int) -> np.ndarray:
+    """Arguments of one kind per bond, bitwise those of the bond lists."""
+    return r if kind == _R else r + np.roll(r, -1) if kind == _S else r + r
+
+
+def _group_densities(stencil: _Stencil, r: np.ndarray, p: EAMPotential) -> np.ndarray:
+    """Density of every group, its terms summed in template order."""
+    rho = {}
+    for k, _, _ in stencil.pair:
+        v = _on(p.density.eval, _arguments(r, k))
+        rho[k] = np.concatenate((v[-1:], v, v[:1]))
+    dbar = np.zeros(sum(stencil.weights[1]))  # one per group
+    for _, c, k, block, at in stencil.terms:
+        group = dbar[block]
+        group += c * rho[k][at]
+    return dbar
 
 
 _DENSITY_TEMPLATES = {"a": _ATOM, "c": _CONTINUUM, "qnl": _TRANSITION}
@@ -335,23 +330,12 @@ def energy(
     y: Deformation,
 ) -> float:
     """Interaction energy per period (external loads excluded)."""
-    table = _tables_for(model, region, y.grid)
-    arg, dbar = _densities(table, y.strain(), p)
-    total = np.sum(_on(p.pair.eval, arg)) * HALF + np.dot(table.weight, _on(p.embedding.eval, dbar))
+    stencil = _stencil(model, region, y.grid)
+    r = y.strain()
+    total = np.dot(_on(p.embedding.eval, _group_densities(stencil, r, p)), np.repeat(*stencil.weights))
+    for k, v, m in stencil.pair:
+        total += np.dot(_on(p.pair.eval, _arguments(r, k)), np.repeat(v, m))
     return float(y.grid.epsilon * total)
-
-
-def _strain_gradient(table: _Table, r: np.ndarray, p: EAMPotential) -> np.ndarray:
-    """Per-bond derivative of the per-period energy sum (no eps factor)."""
-    n = len(r)
-    arg, dbar = _densities(table, r, p)
-    slope = (table.weight * _on(p.embedding.d1, dbar))[table.group]
-    slope *= table.coeff
-    slope *= _on(p.density.d1, arg)
-    slope += HALF * _on(p.pair.d1, arg)
-    g = np.bincount(table.b0, slope, n + 1)
-    g += np.bincount(table.b1, slope, n + 1)
-    return g[:n]
 
 
 def gradient(
@@ -366,11 +350,27 @@ def gradient(
     and at the uniform state the QNL residual vanishes identically: the
     transition tables are built exactly so no ghost force appears.
     """
-    table = _tables_for(model, region, y.grid)
+    stencil = _stencil(model, region, y.grid)
     r = y.strain()
-    gs = _strain_gradient(table, r, p)
-    g = (gs - np.roll(gs, -1)) / y.grid.epsilon
-    return PeriodicField(y.grid, g, "residual")
+    n = len(r)
+    slope = _on(p.embedding.d1, _group_densities(stencil, r, p))
+    gs = np.zeros(n + 1)  # energy derivative by strain; entry n is strain 0
+    for k, v, m in stencil.pair:
+        acc = np.zeros(n + 2)  # by argument, padded
+        for wc, _, kind, block, at in stencil.terms:
+            if kind == k:
+                term = acc[at]
+                term += wc * slope[block]
+        d = acc[1:-1]
+        d[0] += acc[-1]
+        d[-1] += acc[0]
+        x = _arguments(r, k)
+        d *= _on(p.density.d1, x)
+        d += np.repeat(v, m) * _on(p.pair.d1, x)
+        for o in _BONDS[k]:
+            gs[o : o + n] += d
+    gs[0] += gs[n]
+    return PeriodicField(y.grid, (gs[:n] - np.roll(gs[:n], -1)) / y.grid.epsilon, "residual")
 
 
 def _site_bands_from_strain_bands(grid: ChainGrid, q: np.ndarray) -> np.ndarray:
@@ -425,7 +425,7 @@ def _core_basis(kind: ModelKind, K: int) -> tuple[np.ndarray, np.ndarray]:
     classes = _region_classes(kind, N, K)
     m = len(_OFFSETS)
     element = np.zeros((len(classes), _N_SCALARS, m, m))
-    for i, (template, _) in enumerate(classes):
+    for i, (template, _, _) in enumerate(classes):
         for w, terms in template:
             slope = np.zeros((2, m))  # by rho'(F), rho'(2F)
             for c, offsets in terms:
@@ -440,8 +440,8 @@ def _core_basis(kind: ModelKind, K: int) -> tuple[np.ndarray, np.ndarray]:
             element[i, 5] += w * (np.outer(u, v) + np.outer(v, u))
             element[i, 6] += w * np.outer(v, v)
     class_of = np.empty(2 * N, dtype=np.intp)
-    for i, (_, mask) in enumerate(classes):
-        class_of[mask] = i
+    for i, (_, start, length) in enumerate(classes):
+        class_of[start : start + length] = i
     offsets = np.arange(2 * K + 4 if kind == ModelKind.QNL else 0)
     rows = N - K - 2 + np.arange(len(offsets) + 1)
     atoms = class_of[(rows[:, None] - np.array(_OFFSETS)) % (2 * N)]

@@ -91,9 +91,11 @@ class ScalarFunctionC2:
 
     ``eval``, ``d1`` and ``d2`` act elementwise: given a float they return
     a float, given an array they return an array of its shape.  The model
-    evaluators call them once per term table on arrays of arguments, and
-    broadcast a result that does not depend on the argument (such as
-    ``lambda d: 1.0``) to the argument's shape.
+    evaluators call them on arrays: the pair and density once per argument
+    kind (strains, next-nearest sums, doubled strains) on its value at each
+    bond, the embedding on the group densities; and they broadcast a result
+    that does not depend on the argument (such as ``lambda d: 1.0``) to the
+    argument's shape.
     """
 
     eval: Callable[[float], float]

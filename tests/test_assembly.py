@@ -1,6 +1,7 @@
-"""Array term tables against the per-site loop oracle, and model invariants,
-on drawn (material, model, N, K, deformed state); y_F Hessians from compiled
-feature maps against the loop oracle at r = F."""
+"""Deformed-state energies and gradients against the per-site loop oracle,
+and model invariants, on drawn (material, model, N, K, deformed state) and on
+every small grid; y_F Hessians from compiled feature maps against the loop
+oracle at r = F."""
 
 import numpy as np
 import pytest
@@ -101,6 +102,18 @@ def test_array_tables_match_loop_oracle_and_invariants(chain):
     q_op = strain_hessian(model, region, p, y.F)
     a_f = coefficients(p, y.F).A
     assert np.max(np.abs(q_op.apply(ones) - a_f)) <= 1e-12 * q_op.norm_inf()
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
+def test_every_small_grid_matches_loop_oracle(rng, name):
+    # every N in 4..12 and K in 0..N-3: the runs of each region class,
+    # down to an empty continuum run before the others at K = N-3, and the
+    # transition sites shared across the period at K >= N-5
+    for n in range(4, 13):
+        y = Deformation(1.05, random_displacement(ChainGrid(n), rng))
+        for K in range(n - 2):
+            for model in ModelKind:
+                assert_matches_loop_oracle(POTENTIALS[name], model, RegionDecomposition(n, K), y)
 
 
 @pytest.mark.parametrize("model", list(ModelKind))

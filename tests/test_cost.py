@@ -1,18 +1,21 @@
-"""Deterministic cost guards of the uniform-state stability drivers.  They
-count work, not seconds: banded Cholesky factorizations at N = 2^12, each of
-only the 2K+4 core rows of the strain Hessian; evaluations of the potential,
-once per strain; layouts compiled, none per new N; and the modes of the
-stability cubic an atomistic decision evaluates, a few at any N."""
+"""Deterministic cost guards of the uniform-state stability drivers and the
+deformed-state evaluators.  They count work, not seconds: banded Cholesky
+factorizations at N = 2^12, each of only the 2K+4 core rows of the strain
+Hessian; evaluations of the potential, once per strain, and at a deformed
+state once per distinct argument; layouts compiled, none per new N; and the
+modes of the stability cubic an atomistic decision evaluates, a few at any N."""
 
 import math
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
 import pytest
 import scipy.linalg.lapack
 
 from eamchain import cli, models, stability
-from eamchain.models import ModelKind, RegionDecomposition, strain_hessian
+from eamchain.lattice import ChainGrid
+from eamchain.models import Deformation, ModelKind, RegionDecomposition, energy, gradient, strain_hessian
 from eamchain.potentials import (
     EAMPotential,
     NonFiniteError,
@@ -24,6 +27,8 @@ from eamchain.potentials import (
 )
 from eamchain.solver import convergence_study, cosine_load, fixed_k_rule
 from eamchain.stability import coefficients, critical_strain, lambda_min, min_eig_numeric
+
+from conftest import random_displacement
 
 N = 4096
 K = 8
@@ -120,6 +125,36 @@ def test_convergence_study_evaluates_the_strain_once(default_p):
     p = counting_potential(default_p, strains)
     convergence_study(p, 1.0, cosine_load, fixed_k_rule(8), [64, 128, 256, 512, 1024])
     assert strains == [1.0, 2.0]
+
+
+def argument_counting_potential(p: EAMPotential, sizes: dict) -> EAMPotential:
+    """``p`` whose ``density.eval``, ``pair.eval`` and ``pair.d1`` add the
+    number of arguments of each call to ``sizes`` under their names."""
+
+    def counted(name, fn):
+        def f(x):
+            sizes[name] = sizes.get(name, 0) + np.size(x)
+            return fn(x)
+
+        return f
+
+    pair = ScalarFunctionC2(counted("pair.eval", p.pair.eval), counted("pair.d1", p.pair.d1), p.pair.d2)
+    density = ScalarFunctionC2(counted("density.eval", p.density.eval), p.density.d1, p.density.d2)
+    return EAMPotential(pair, density, p.embedding, p.name)
+
+
+def test_deformed_state_evaluates_each_argument_once(default_p, rng):
+    # r_b and r_b + r_{b+1} (atomistic), r_b and r_b + r_b (QCL), at most all
+    # three kinds (QNL): 2N arguments each, however many atoms share them
+    n = 256
+    region = RegionDecomposition(n, K)
+    y = Deformation(1.02, random_displacement(ChainGrid(n), rng))
+    for model, kinds in ((ModelKind.ATOMISTIC, 2), (ModelKind.QCL, 2), (ModelKind.QNL, 3)):
+        for evaluate, members in ((energy, ("density.eval", "pair.eval")), (gradient, ("density.eval", "pair.d1"))):
+            sizes = {}
+            evaluate(model, region, argument_counting_potential(default_p, sizes), y)
+            for member in members:
+                assert sizes[member] <= kinds * 2 * n
 
 
 def test_coupled_decision_at_a_new_n_compiles_no_layout(default_p):
