@@ -23,7 +23,6 @@ from .models import (
     ModelKind,
     RegionDecomposition,
     SymmetricBandedOperator,
-    electron_density,
     energy,
     force_scale,
     gradient,
@@ -55,7 +54,6 @@ from .stability import (
     fourier_spectrum,
     lambda_cubic,
     lambda_min,
-    min_eig_numeric,
     rayleigh_quotient,
     remark_test_functions,
 )

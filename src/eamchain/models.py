@@ -70,7 +70,6 @@ __all__ = [
     "RegionDecomposition",
     "Deformation",
     "SymmetricBandedOperator",
-    "electron_density",
     "energy",
     "gradient",
     "strain_hessian",
@@ -308,21 +307,6 @@ def _group_densities(stencil: _Stencil, r: np.ndarray, p: EAMPotential) -> np.nd
     return dbar
 
 
-_DENSITY_TEMPLATES = {"a": _ATOM, "c": _CONTINUUM, "qnl": _TRANSITION}
-
-
-def electron_density(p: EAMPotential, kind: str, y: Deformation, site: int) -> float:
-    """Summed electron density at one atom: exact ("a"), Cauchy-Born ("c"),
-    or one-sided transition ("qnl"), read from the first density group of
-    the matching template."""
-    if kind not in _DENSITY_TEMPLATES:
-        raise ValueError(f"unknown density kind {kind!r}")
-    r = y.strain()
-    index = y.grid.index
-    _, terms = _DENSITY_TEMPLATES[kind][0]
-    return float(sum(c * p.density(sum(r[index(site + o)] for o in offsets)) for c, offsets in terms))
-
-
 def energy(
     model: ModelKind,
     region: RegionDecomposition | None,
@@ -469,9 +453,19 @@ def _uniform_scalars(p: EAMPotential, F: float) -> np.ndarray:
     return scalars
 
 
-def _uniform_bands(model: ModelKind, region: RegionDecomposition, p: EAMPotential, F: float):
-    """(core rows at N, core bands, far-row bands) of the strain Hessian at
-    y_F, from :func:`_core_basis`."""
+def strain_hessian_blocks(
+    model: ModelKind,
+    region: RegionDecomposition,
+    p: EAMPotential,
+    F: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Strain Hessian at y_F as (core rows at N, their bands, far-row bands),
+    with ``core_bands.T`` the core block in LAPACK lower band storage.  Every
+    row off the core is the far row: A_F I for a coupled model (``far[0]``
+    is A_F), the circulant row for the atomistic chain.  Bands come from
+    :func:`_core_basis`, compiled once per model and K, so neither the cost
+    nor the values depend on N.
+    """
     scalars = _uniform_scalars(p, F)
     K = region.K if model == ModelKind.QNL else -1
     offsets, basis = _core_basis(model, K)
@@ -494,29 +488,11 @@ def strain_hessian(
     state, so ``Q 1 = A_F 1`` (A_F the continuum modulus).  Raises
     NonFiniteError if a scalar is not finite.
     """
-    core, core_bands, far = _uniform_bands(model, region, p, F)
+    core, core_bands, far = strain_hessian_blocks(model, region, p, F)
     bands = np.empty((2 * region.N, len(far)))
     bands[:] = far
     bands[core] = core_bands
     return SymmetricBandedOperator(ChainGrid(region.N), bands)
-
-
-def strain_hessian_blocks(
-    model: ModelKind,
-    region: RegionDecomposition,
-    p: EAMPotential,
-    F: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Strain Hessian of a coupled model as a core block plus A_F I:
-    (core rows, their bands, A_F), with ``core_bands.T`` the block in LAPACK
-    lower band storage.  Bands and A_F come from a basis compiled once per
-    model and K, so neither the cost nor the values depend on N.  The
-    circulant atomistic one has no A_F block.
-    """
-    if model == ModelKind.ATOMISTIC:
-        raise ValueError("the atomistic strain Hessian has no continuum block")
-    core, core_bands, far = _uniform_bands(model, region, p, F)
-    return core, core_bands, float(far[0])
 
 
 def hessian(

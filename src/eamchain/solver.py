@@ -239,7 +239,7 @@ def convergence_study(
         load = load_generator(grid)
         r_a, negnorm, d3, d2max = consistency_point(region, p, F, load)
         err = norm_l2eps(r_a - PeriodicField(grid, _strain_solution(ModelKind.QNL, region, p, F, load)))
-        lam_min = lambda_min(ModelKind.QNL, region, p, F, n)
+        lam_min = lambda_min(ModelKind.QNL, region, p, F)
         runtime_ms = (time.perf_counter() - start) * 1e3
         records.append(
             ConvergenceRecord(

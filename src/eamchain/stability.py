@@ -18,8 +18,7 @@ Du.  Continuum atoms couple no two bonds, so Q is a core block on 2K+4 rows
 (none for QCL) plus A_F I; one banded Cholesky of the shifted block decides,
 at a cost independent of N, whether lambda < lambda_min <= A_F, and
 deterministic bisection on that test finds lambda_min and critical strains.
-Only a mode (:func:`min_eig_numeric`) and a solve (:func:`strain_solver`)
-cost O(N).
+Only a solve (:func:`strain_solver`) costs O(N).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .lattice import ChainGrid, PeriodicField, diff, displacement_from_strain, norm_l2eps
+from .lattice import ChainGrid, PeriodicField, diff, norm_l2eps
 from .models import (
     ModelKind,
     RegionDecomposition,
@@ -50,7 +49,6 @@ __all__ = [
     "fourier_spectrum",
     "strain_solver",
     "lambda_min",
-    "min_eig_numeric",
     "critical_strain",
     "remark_test_functions",
     "rayleigh_quotient",
@@ -157,9 +155,9 @@ def _critical_points(c: StabilityCoefficients) -> list[float]:
     return [q / a, k / q] if q != 0 else [0.0]
 
 
-def _atomistic_min(c: StabilityCoefficients, N: int) -> tuple[float, int]:
-    """(lambda_min, k): the minimum of lambda_F(s_k) over k = 1..N and the
-    smallest k attaining it, the minimum of :func:`fourier_spectrum`.
+def _atomistic_min(c: StabilityCoefficients, N: int) -> float:
+    """The minimum of lambda_F(s_k) over k = 1..N, the minimum of
+    :func:`fourier_spectrum`.
 
     s_k grows with k, and lambda_F is monotone between its critical points,
     so the minimum lies at k = 1, at k = N or beside a critical point in
@@ -175,9 +173,7 @@ def _atomistic_min(c: StabilityCoefficients, N: int) -> tuple[float, int]:
             k = round(2 * N / math.pi * math.asin(math.sqrt(s) / 2))
             modes.update(range(max(k - 3, 1), min(k + 3, N) + 1))
     modes = np.array(sorted(modes))
-    lam = _symbol(c, modes, N)[1]
-    i = np.argmin(lam)
-    return float(lam[i]), int(modes[i])
+    return float(np.min(_symbol(c, modes, N)[1]))
 
 
 def fourier_spectrum(p: EAMPotential, F: float, N: int) -> SpectrumReport:
@@ -235,7 +231,8 @@ def strain_solver(model: ModelKind, region: RegionDecomposition, p: EAMPotential
         # only the second term, so its roundoff stays small on smooth strains
         excess = s * (c.B + c.C * s + c.D * s**2) / (lam * c.A)
         return lambda b: b / c.A - np.fft.irfft(np.fft.rfft(b) * excess, 2 * N)
-    core, core_bands, a_f = strain_hessian_blocks(model, region, p, F)
+    core, core_bands, far = strain_hessian_blocks(model, region, p, F)
+    a_f = far[0]
     # A_F decides alone when it is not positive or the core is empty (QCL)
     core_solve = _band_solver(core_bands.T) if a_f > 0 and len(core) else np.copy
     if not a_f > 0 or core_solve is None:
@@ -261,80 +258,38 @@ def _bisect(inside, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _min_eig(model: ModelKind, region: RegionDecomposition, p: EAMPotential, F: float, N: int):
-    """(lambda_min, where) for :func:`min_eig_numeric`, ``where`` being the
-    wavenumber of the atomistic mode or (rows, values) of a coupled mode's
-    nonzero strains; O(K) work."""
-    if region.N != N:
-        raise ValueError(f"region size {region.N} does not match N={N}")
-    if model == ModelKind.ATOMISTIC:
-        return _atomistic_min(coefficients(p, F), N)
-    core, core_bands, a_f = strain_hessian_blocks(model, region, p, F)
-    found = _core_min_eig(core_bands.T, a_f - 1e-14 * max(1.0, abs(a_f))) if len(core) else None
-    if found is None:
-        i = core[-1] + 1 if len(core) else 0
-        return a_f, (np.array([i, i + 1]) % (2 * N), np.array([1.0, -1.0]))
-    lam, x = found
-    return lam, (core, x)
+def lambda_min(model: ModelKind, region: RegionDecomposition, p: EAMPotential, F: float) -> float:
+    """Smallest eigenvalue of H u = lambda L u on zero-mean displacements, at
+    a cost that does not depend on N.
 
-
-def lambda_min(model: ModelKind, region: RegionDecomposition, p: EAMPotential, F: float, N: int) -> float:
-    """Smallest eigenvalue of H u = lambda L u on zero-mean displacements,
-    the first value of :func:`min_eig_numeric` without its O(N) mode: the
-    cost does not depend on N."""
-    return _min_eig(model, region, p, F, N)[0]
-
-
-def min_eig_numeric(
-    model: ModelKind,
-    region: RegionDecomposition,
-    p: EAMPotential,
-    F: float,
-    N: int,
-):
-    """Smallest eigenvalue of H u = lambda L u on zero-mean displacements.
-
-    Returns (lambda_min, mode), the mode with unit ``||Du||``.  The
-    atomistic chain has both in closed form: the minimum of
-    :func:`fourier_spectrum` and the cosine displacement at its wavenumber.
-    A coupled model's lambda_min is the smallest eigenvalue of the strain
-    Hessian Q on zero-sum strains.  Q is a core block plus A_F I on two or
-    more rows, and the block has eigenvalue A_F on constants, so lambda_min
-    is A_F, with the two-bond mode e_i - e_j off the core, unless a probe of
-    the block's banded Cholesky a tolerance below A_F fails.  Then the
-    smallest eigenvalue of the core block lies above its Gershgorin lower
-    bound and at most its smallest diagonal entry and the probe: bisection
-    on whether the shifted block factors (Sylvester inertia) closes that
-    bracket, from just below the bound, to 1e-14 relative.  The mode is one
-    inverse-iteration step from a fixed-seed zero-sum start vector with the
-    factor at the final lower end, its mean removed, zero off the core.
-    :func:`lambda_min` gives lambda_min alone.
+    The atomistic chain has it in closed form: the minimum of
+    :func:`fourier_spectrum`.  A coupled model's lambda_min is the smallest
+    eigenvalue of the strain Hessian Q on zero-sum strains.  Q is a core
+    block plus A_F I on two or more rows, and the block has eigenvalue A_F
+    on constants, so lambda_min is A_F unless a probe of the block's banded
+    Cholesky a tolerance below A_F fails.  Then the smallest eigenvalue of
+    the core block lies above its Gershgorin lower bound and at most its
+    smallest diagonal entry and the probe: bisection on whether the shifted
+    block factors (Sylvester inertia) closes that bracket, from just below
+    the bound, to 1e-14 relative.
     """
-    lam, where = _min_eig(model, region, p, F, N)
-    grid = ChainGrid(N)
     if model == ModelKind.ATOMISTIC:
-        mode = PeriodicField.displacement(grid, np.cos(np.pi * where * grid.positions()))
-    else:
-        strain = np.zeros(grid.period_atoms)
-        strain[where[0]] = where[1]
-        mode = displacement_from_strain(grid, strain)
-    return lam, mode * (1.0 / norm_l2eps(diff(mode, 1)))
+        return _atomistic_min(coefficients(p, F), region.N)
+    core, core_bands, far = strain_hessian_blocks(model, region, p, F)
+    a_f = float(far[0])
+    found = _core_min_eig(core_bands.T, a_f - 1e-14 * max(1.0, abs(a_f))) if len(core) else None
+    return a_f if found is None else found
 
 
-def _core_min_eig(ab_q: np.ndarray, cap: float):
-    """(lambda, x): smallest eigenvalue on zero-sum vectors and a mode of the
-    core block in lower band storage ``ab_q``, by the bisection of
-    :func:`min_eig_numeric`; None if the block minus cap I is definite."""
-    solve_lo = None  # solve with the factor at the highest shift found definite
+def _core_min_eig(ab_q: np.ndarray, cap: float) -> float | None:
+    """Smallest eigenvalue on zero-sum vectors of the core block in lower
+    band storage ``ab_q``, by the bisection of :func:`lambda_min`; None if
+    the block minus cap I is definite."""
 
     def definite(lam: float) -> bool:
-        nonlocal solve_lo
         ab = ab_q.copy(order="F")
         ab[0] -= lam
-        solve = _band_solver(ab)
-        if solve is not None:
-            solve_lo = solve
-        return solve is not None
+        return _band_solver(ab) is not None
 
     if definite(cap):
         return None
@@ -345,20 +300,17 @@ def _core_min_eig(ab_q: np.ndarray, cap: float):
         radius[d:] += np.abs(ab_q[d, :-d])
     bound = float(np.min(ab_q[0] - radius))
     scale = max(1.0, abs(bound), abs(cap))
-    lo, hi = _bisect(definite, bound - 1e-8 * scale, min(cap, float(np.min(ab_q[0]))), 1e-14 * scale)
-    if solve_lo is None and not definite(lo):
+    start = bound - 1e-8 * scale
+    lo, hi = _bisect(definite, start, min(cap, float(np.min(ab_q[0]))), 1e-14 * scale)
+    if lo == start and not definite(lo):  # checked only if bisection never moved lo
         raise ArithmeticError(f"core block is not definite below its Gershgorin bound {bound}")
-    start = np.random.default_rng(0).standard_normal(ab_q.shape[1])
-    start -= start.mean()
-    x = solve_lo(start)
-    return 0.5 * (lo + hi), x - x.mean()
+    return 0.5 * (lo + hi)
 
 
 def critical_strain(
     model: ModelKind,
     region: RegionDecomposition,
     p: EAMPotential,
-    N: int,
     bracket,
     tol: float = 1e-10,
 ) -> float:
@@ -368,19 +320,17 @@ def critical_strain(
     atomistic chain is stable when the minimum of the stability cubic over
     the discrete modes is positive; a coupled model is stable when its
     strain Hessian Q is positive definite (lambda_min <= A_F, see
-    :func:`min_eig_numeric`): when A_F > 0 and the banded Cholesky of its
+    :func:`lambda_min`): when A_F > 0 and the banded Cholesky of its
     core block succeeds (:func:`strain_solver`).  Each step costs the same
     at every N.  Deterministic; ``tol`` must be finite and positive.
     """
-    if region.N != N:
-        raise ValueError(f"region size {region.N} does not match N={N}")
     if not 0 < tol < math.inf:
         raise ValueError(f"bisection tolerance must be finite and positive, got tol={tol}")
     f_lo, f_hi = float(bracket[0]), float(bracket[1])
     if not 0 < f_lo < f_hi < math.inf:
         raise BracketError(f"bad bracket ({f_lo}, {f_hi})")
     if model == ModelKind.ATOMISTIC:
-        stable = lambda F: _atomistic_min(coefficients(p, F), N)[0] > 0  # noqa: E731
+        stable = lambda F: _atomistic_min(coefficients(p, F), region.N) > 0  # noqa: E731
     else:
         stable = lambda F: strain_solver(model, region, p, F) is not None  # noqa: E731
     lo_stable = stable(f_lo)

@@ -225,24 +225,6 @@ def region_norm_bruteforce(v: PeriodicField, sites) -> float:
     return np.sqrt(v.grid.epsilon * total)
 
 
-def electron_density_resum(p, y: Deformation, site: int) -> float:
-    """Four-term exact density by direct lookup, no shared helpers."""
-    g = y.grid
-    eps = g.epsilon
-    uvals = y.displacement.values
-
-    def strain(l):
-        return y.F + (uvals[g.index(l)] - uvals[g.index(l - 1)]) / eps
-
-    rho = p.density.eval
-    return (
-        rho(strain(site))
-        + rho(strain(site) + strain(site - 1))
-        + rho(strain(site + 1))
-        + rho(strain(site + 1) + strain(site + 2))
-    )
-
-
 def qnl_pair_energy_by_hand(phi, region: RegionDecomposition, y: Deformation) -> float:
     """Coupled pair energy assembled directly from the per-atom formulas.
 

@@ -26,7 +26,7 @@ from eamchain.stability import (
     coefficients,
     critical_strain,
     fourier_spectrum,
-    min_eig_numeric,
+    lambda_min,
     rayleigh_quotient,
     remark_test_functions,
     strain_metric_operator,
@@ -150,10 +150,10 @@ def test_criterion_05_coupled_stability_biconditional(default_p):
             region = RegionDecomposition(n, k)
             for f in np.linspace(f_star - 0.05, f_star + 0.05, 20):
                 a_val = coefficients(default_p, float(f)).A
-                lam, _ = min_eig_numeric(ModelKind.QNL, region, default_p, float(f), n)
+                lam = lambda_min(ModelKind.QNL, region, default_p, float(f))
                 if np.sign(lam) != np.sign(a_val):
                     mismatches += 1
-                lam_qcl, _ = min_eig_numeric(ModelKind.QCL, region, default_p, float(f), n)
+                lam_qcl = lambda_min(ModelKind.QCL, region, default_p, float(f))
                 worst_qcl = max(worst_qcl, abs(lam_qcl - a_val))
     dt = time.perf_counter() - start
     report(
@@ -171,8 +171,8 @@ def test_criterion_06_stability_gap_scaling(default_p):
     gaps, eps_list = [], []
     for n in (32, 64, 128, 256, 512):
         region = RegionDecomposition(n, 8)
-        f_atom = critical_strain(ModelKind.ATOMISTIC, region, default_p, n, (1.0, 1.15))
-        f_qnl = critical_strain(ModelKind.QNL, region, default_p, n, (1.0, 1.15))
+        f_atom = critical_strain(ModelKind.ATOMISTIC, region, default_p, (1.0, 1.15))
+        f_qnl = critical_strain(ModelKind.QNL, region, default_p, (1.0, 1.15))
         gaps.append(abs(f_atom - f_qnl))
         eps_list.append(1.0 / n)
     slope = loglog_slope(eps_list, gaps)
@@ -222,7 +222,7 @@ def test_criterion_09_local_model_dominance(reversal_p):
     region0 = RegionDecomposition(n0, 8)
     u_tilde, _ = remark_test_functions(n0, 8)
     rq_atom = rayleigh_quotient(ModelKind.ATOMISTIC, region0, reversal_p, f_val, u_tilde)
-    lam_qcl, _ = min_eig_numeric(ModelKind.QCL, region0, reversal_p, f_val, n0)
+    lam_qcl = lambda_min(ModelKind.QCL, region0, reversal_p, f_val)
     part_a = abs(rq_atom - target) <= 1e-10 and rq_atom < lam_qcl
     gaps, ks = [], []
     for k in (8, 16, 32, 64):

@@ -177,7 +177,7 @@ def test_strain_hessian_is_core_block_plus_continuum_diagonal(name):
             for model in (ModelKind.QNL, ModelKind.QCL):
                 m = 2 * K + 4 if model == ModelKind.QNL else 0
                 for F in (0.95, 1.0, 1.1):
-                    core, core_bands, a_f = strain_hessian_blocks(model, region, p, F)
+                    core, core_bands, (a_f, *_) = strain_hessian_blocks(model, region, p, F)
                     assert len(core) == m and np.all((core - core[:1]) % n == np.arange(m))
                     q = strain_hessian(model, region, p, F)
                     rest = np.setdiff1d(np.arange(n), core)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from eamchain import cli
 from eamchain.cli import ExperimentConfig, load_config, main
 
 POT = str(resources.files("eamchain").joinpath("data", "default_eam.pot"))
@@ -101,6 +102,24 @@ def test_validate_command_passes(tmp_path, capsys):
     assert "PASS ghost-force" in out
     assert "PASS strain-identities" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("seed", ["2", "4"])
+def test_validate_gradient_check_passes_at_n_2048(capsys, seed):
+    # a 2nd-order difference with h = 1e-5 reported 1.1e-6 and 1.5e-6 here:
+    # roundoff of the energy sums, amplified by 1/h, not an assembly error.
+    # Only the gradient line is asserted: strain-identities draws its own
+    # small grids and does not depend on N or K
+    run_cli("--command", "validate", "--potential", POT, "--F", "1.0", "--N", "2048", "--K", "32", "--seed", seed)
+    assert "PASS gradient-vs-energy" in capsys.readouterr().out
+
+
+def test_validate_catches_a_gradient_off_by_1e_5(monkeypatch, capsys):
+    exact = cli.gradient
+    monkeypatch.setattr(cli, "gradient", lambda *args: exact(*args) * (1 + 1e-5))
+    status = run_cli("--command", "validate", "--potential", POT, "--F", "0.95,1.0,1.1", "--N", "64", "--K", "10")
+    assert status == 1
+    assert "FAIL gradient-vs-energy" in capsys.readouterr().out
 
 
 def test_spectrum_csv_shape_and_symmetry(tmp_path):

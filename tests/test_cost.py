@@ -26,7 +26,7 @@ from eamchain.potentials import (
     shipped_potential,
 )
 from eamchain.solver import convergence_study, cosine_load, fixed_k_rule
-from eamchain.stability import coefficients, critical_strain, lambda_min, min_eig_numeric
+from eamchain.stability import coefficients, critical_strain, lambda_min
 
 from conftest import random_displacement
 
@@ -51,7 +51,7 @@ def factorizations(monkeypatch):
 
 def test_critical_strain_factors_the_core_once_per_stable_step(default_p, factorizations):
     lo, hi = 1.0, 1.15
-    f_star = critical_strain(ModelKind.QNL, RegionDecomposition(N, K), default_p, N, (lo, hi), tol=1e-10)
+    f_star = critical_strain(ModelKind.QNL, RegionDecomposition(N, K), default_p, (lo, hi), tol=1e-10)
     steps = math.ceil(math.log2((hi - lo) / 1e-10))
     assert steps == 31 and coefficients(default_p, f_star + 1e-9).A < 0
     # one core factorization per evaluation with A_F > 0: the stable end and
@@ -62,26 +62,25 @@ def test_critical_strain_factors_the_core_once_per_stable_step(default_p, factor
 
 def test_critical_strain_qcl_factors_nothing(default_p, factorizations):
     # QCL's strain Hessian is A_F I: the sign of A_F decides every step
-    critical_strain(ModelKind.QCL, RegionDecomposition(N, K), default_p, N, (1.0, 1.15), tol=1e-10)
+    critical_strain(ModelKind.QCL, RegionDecomposition(N, K), default_p, (1.0, 1.15), tol=1e-10)
     assert factorizations == []
 
 
 def test_min_eig_numeric_factorization_count(default_p, reversal_p, factorizations):
-    min_eig_numeric(ModelKind.QNL, RegionDecomposition(N, K), default_p, 1.0, N)
+    lambda_min(ModelKind.QNL, RegionDecomposition(N, K), default_p, 1.0)
     # the core has no eigenvalue below A_F: one probe a tolerance below it
     # factors, and lambda_min is A_F
     assert factorizations == [CORE]
     factorizations.clear()
-    min_eig_numeric(ModelKind.QNL, RegionDecomposition(N, K), reversal_p, 1.0, N)
+    lambda_min(ModelKind.QNL, RegionDecomposition(N, K), reversal_p, 1.0)
     # the core minimum lies below A_F: the failed probe, then 42 halvings,
     # each of the core alone, from the block's Gershgorin bound and smallest
-    # diagonal entry down to 1e-14 relative; the mode reuses the factor at
-    # the final lower end
+    # diagonal entry down to 1e-14 relative
     assert factorizations == [CORE] * 43
 
 
 def test_min_eig_numeric_qcl_needs_no_bisection(default_p, factorizations):
-    lam, _ = min_eig_numeric(ModelKind.QCL, RegionDecomposition(N, K), default_p, 1.0, N)
+    lam = lambda_min(ModelKind.QCL, RegionDecomposition(N, K), default_p, 1.0)
     # Q = A_F I: the core is empty and lambda_min is A_F
     a_f = coefficients(default_p, 1.0).A
     assert abs(lam - a_f) <= 1e-14 * max(1.0, a_f)
@@ -159,10 +158,10 @@ def test_deformed_state_evaluates_each_argument_once(default_p, rng):
 
 def test_coupled_decision_at_a_new_n_compiles_no_layout(default_p):
     region = RegionDecomposition(2**18 + 1, K)
-    lambda_min(ModelKind.QNL, RegionDecomposition(64, K), default_p, 1.0, 64)
+    lambda_min(ModelKind.QNL, RegionDecomposition(64, K), default_p, 1.0)
     misses = models._core_basis.cache_info().misses
-    critical_strain(ModelKind.QNL, region, default_p, region.N, (1.0, 1.15))
-    lambda_min(ModelKind.QNL, region, default_p, 1.0, region.N)
+    critical_strain(ModelKind.QNL, region, default_p, (1.0, 1.15))
+    lambda_min(ModelKind.QNL, region, default_p, 1.0)
     strain_hessian(ModelKind.QNL, region, default_p, 1.0)
     assert models._core_basis.cache_info().misses == misses
 
@@ -178,7 +177,7 @@ def test_atomistic_decision_evaluates_few_modes(default_p, reversal_p, monkeypat
     monkeypatch.setattr(stability, "_symbol", counted)
     n = 2**18
     for p, bracket in ((default_p, (1.0, 1.15)), (reversal_p, (0.95, 1.2))):
-        critical_strain(ModelKind.ATOMISTIC, RegionDecomposition(n, K), p, n, bracket)
+        critical_strain(ModelKind.ATOMISTIC, RegionDecomposition(n, K), p, bracket)
     # modes 1 and N, and 7 beside each of at most two critical points
     assert sizes and max(sizes) <= 16
 
@@ -215,7 +214,7 @@ def test_potential_with_unhashable_callables(default_p):
         hash(p)
     region = RegionDecomposition(64, K)
     for model in ModelKind:
-        assert critical_strain(model, region, p, 64, (1.0, 1.15)) == critical_strain(
-            model, region, default_p, 64, (1.0, 1.15)
+        assert critical_strain(model, region, p, (1.0, 1.15)) == critical_strain(
+            model, region, default_p, (1.0, 1.15)
         )
-        assert lambda_min(model, region, p, 1.0, 64) == lambda_min(model, region, default_p, 1.0, 64)
+        assert lambda_min(model, region, p, 1.0) == lambda_min(model, region, default_p, 1.0)

@@ -8,7 +8,6 @@ from eamchain.models import (
     Deformation,
     ModelKind,
     RegionDecomposition,
-    electron_density,
     energy,
     force_scale,
     gradient,
@@ -23,7 +22,6 @@ from eamchain.potentials import (
 
 from conftest import random_displacement
 from oracles import (
-    electron_density_resum,
     fd_directional_derivative,
     qnl_pair_energy_by_hand,
 )
@@ -49,24 +47,6 @@ def test_region_needs_the_smallest_grid():
     with pytest.raises(ValueError, match="N >= 4"):
         RegionDecomposition(3, 0)
     RegionDecomposition(4, 1)
-
-
-def test_electron_density_kinds(default_p, rng):
-    grid = ChainGrid(8)
-    yF = Deformation.uniform(grid, 1.1)
-    expected = mean_field_density(default_p, 1.1)
-    for kind in ("a", "c", "qnl"):
-        assert electron_density(default_p, kind, yF, 3) == pytest.approx(expected, rel=1e-15)
-    zero_rho = EAMPotential(default_p.pair, zero_function(), default_p.embedding)
-    y = Deformation(1.0, random_displacement(grid, rng))
-    for kind in ("a", "c", "qnl"):
-        assert electron_density(zero_rho, kind, y, 0) == 0.0
-    for site in range(-7, 9):
-        assert electron_density(default_p, "a", y, site) == pytest.approx(
-            electron_density_resum(default_p, y, site), rel=1e-14
-        )
-    with pytest.raises(ValueError):
-        electron_density(default_p, "b", y, 0)
 
 
 def test_uniform_energy_all_models_agree(default_p):

@@ -29,7 +29,7 @@ from eamchain.solver import (
     power_k_rule,
     solve_linearized,
 )
-from eamchain.stability import coefficients, min_eig_numeric, strain_metric_operator, strain_solver
+from eamchain.stability import coefficients, lambda_min, strain_metric_operator, strain_solver
 
 from conftest import random_displacement
 from oracles import consistency_residual, dual_norm_by_maximization, loglog_slope, negative_norm
@@ -123,7 +123,7 @@ def test_solve_unstable_raises(default_p, reversal_p):
     # reversal material at F = 1.16: modulus still positive but the exact
     # chain is unstable at the zone boundary, caught by the factorization
     assert coefficients(reversal_p, 1.16).A > 0
-    lam, _ = min_eig_numeric(ModelKind.ATOMISTIC, region, reversal_p, 1.16, 32)
+    lam = lambda_min(ModelKind.ATOMISTIC, region, reversal_p, 1.16)
     assert lam < 0
     with pytest.raises(NotPositiveDefiniteError):
         solve_linearized(ModelKind.ATOMISTIC, region, reversal_p, 1.16, load)

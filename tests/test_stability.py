@@ -26,7 +26,6 @@ from eamchain.stability import (
     fourier_spectrum,
     lambda_cubic,
     lambda_min,
-    min_eig_numeric,
     rayleigh_quotient,
     remark_test_functions,
     strain_metric_operator,
@@ -159,17 +158,16 @@ def test_reversal_minimizer_leaves_fundamental(reversal_p):
 def test_min_eig_matches_fourier(default_p):
     for n in (8, 16, 32, 64):
         region = RegionDecomposition(n, 2)
-        lam, mode = min_eig_numeric(ModelKind.ATOMISTIC, region, default_p, 1.02, n)
+        lam = lambda_min(ModelKind.ATOMISTIC, region, default_p, 1.02)
         expected = fourier_spectrum(default_p, 1.02, n).min_eigenvalue
         assert lam == pytest.approx(expected, rel=1e-9)
-        assert abs(np.mean(mode.values)) <= 1e-12 * np.max(np.abs(mode.values))
 
 
 def test_qnl_min_eig_is_a_f_to_roundoff_at_large_n(default_p):
     # two deep-continuum bonds carry an exact A_F eigenvector, and the strain
     # Hessian keeps entries of order one at N = 2^16
     n = 2**16
-    lam, _ = min_eig_numeric(ModelKind.QNL, RegionDecomposition(n, 8), default_p, 1.1, n)
+    lam = lambda_min(ModelKind.QNL, RegionDecomposition(n, 8), default_p, 1.1)
     a_f = coefficients(default_p, 1.1).A
     assert abs(lam - a_f) <= 1e-14 * a_f
 
@@ -181,21 +179,10 @@ def test_qnl_stability_does_not_depend_on_n(name, bracket):
     p = shipped_potential(name)
     small, large = (RegionDecomposition(n, 8) for n in (2**6, 2**16))
     for F in (1.0, 1.1):
-        assert min_eig_numeric(ModelKind.QNL, small, p, F, small.N)[0] == min_eig_numeric(
-            ModelKind.QNL, large, p, F, large.N
-        )[0]
-    assert critical_strain(ModelKind.QNL, small, p, small.N, bracket) == critical_strain(
-        ModelKind.QNL, large, p, large.N, bracket
+        assert lambda_min(ModelKind.QNL, small, p, F) == lambda_min(ModelKind.QNL, large, p, F)
+    assert critical_strain(ModelKind.QNL, small, p, bracket) == critical_strain(
+        ModelKind.QNL, large, p, bracket
     )
-
-
-@pytest.mark.parametrize("model", list(ModelKind))
-def test_lambda_min_is_min_eig_numeric_eigenvalue(default_p, reversal_p, model):
-    for p in (default_p, reversal_p):
-        for n in (2**6, 2**16):
-            region = RegionDecomposition(n, 8)
-            for F in (1.0, 1.1):
-                assert lambda_min(model, region, p, F, n) == min_eig_numeric(model, region, p, F, n)[0]
 
 
 _DEFAULT = shipped_potential("default-eam")
@@ -220,7 +207,7 @@ ATOMISTIC_MIN_POTENTIALS = [
 def test_atomistic_min_matches_loop_oracle(p, F, N):
     # the candidate modes give the minimum over all N modes bitwise
     c = coefficients(p, F)
-    assert _atomistic_min(c, N)[0] == loop_atomistic_min(c, N)
+    assert _atomistic_min(c, N) == loop_atomistic_min(c, N)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -237,25 +224,21 @@ def test_atomistic_min_of_degenerate_cubics_matches_loop_oracle(abcd, degree, N)
     c = c if degree in ("cubic", "quadratic") else 0.0
     b = b if degree != "constant" else 0.0
     coeffs = StabilityCoefficients(F=1.0, A_hat=a, A_tilde=0.0, B=b, C=c, D=d)
-    assert _atomistic_min(coeffs, N)[0] == loop_atomistic_min(coeffs, N)
+    assert _atomistic_min(coeffs, N) == loop_atomistic_min(coeffs, N)
 
 
 def test_atomistic_min_eig_is_the_fourier_minimum_at_large_n(default_p):
     n = 2**16
     region = RegionDecomposition(n, 8)
-    lam, mode = min_eig_numeric(ModelKind.ATOMISTIC, region, default_p, 1.05, n)
+    lam = lambda_min(ModelKind.ATOMISTIC, region, default_p, 1.05)
     expected = fourier_spectrum(default_p, 1.05, n).min_eigenvalue
     assert abs(lam - expected) <= 1e-14 * expected
-    assert norm_l2eps(diff(mode, 1)) == pytest.approx(1.0, rel=1e-14)
-    assert rayleigh_quotient(ModelKind.ATOMISTIC, region, default_p, 1.05, mode) == pytest.approx(
-        expected, rel=1e-12
-    )
 
 
 def test_qcl_min_eig_equals_modulus(default_p):
     for n in (16, 32):
         region = RegionDecomposition(n, 4)
-        lam, _ = min_eig_numeric(ModelKind.QCL, region, default_p, 1.04, n)
+        lam = lambda_min(ModelKind.QCL, region, default_p, 1.04)
         assert lam == pytest.approx(coefficients(default_p, 1.04).A, abs=1e-10)
 
 
@@ -263,7 +246,7 @@ def test_qnl_stability_sign_matches_modulus(default_p):
     # both sides of the critical strain: lambda_min and A_F share their sign
     region = RegionDecomposition(32, 6)
     for f in (1.09, 1.12):
-        lam, _ = min_eig_numeric(ModelKind.QNL, region, default_p, f, 32)
+        lam = lambda_min(ModelKind.QNL, region, default_p, f)
         assert np.sign(lam) == np.sign(coefficients(default_p, f).A)
 
 
@@ -376,7 +359,7 @@ def test_qnl_quadratic_form_interface_decomposition(default_p, rng):
 
 def test_critical_strain_qcl_vs_scalar_root(default_p):
     region = RegionDecomposition(32, 6)
-    f_star = critical_strain(ModelKind.QCL, region, default_p, 32, (1.0, 1.15))
+    f_star = critical_strain(ModelKind.QCL, region, default_p, (1.0, 1.15))
     a_root = scipy.optimize.brentq(
         lambda f: coefficients(default_p, f).A, 1.0, 1.15, xtol=1e-14
     )
@@ -386,7 +369,7 @@ def test_critical_strain_qcl_vs_scalar_root(default_p):
 def test_critical_strain_bad_bracket(default_p):
     region = RegionDecomposition(16, 4)
     with pytest.raises(BracketError):
-        critical_strain(ModelKind.ATOMISTIC, region, default_p, 16, (1.0, 1.02))
+        critical_strain(ModelKind.ATOMISTIC, region, default_p, (1.0, 1.02))
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
@@ -394,36 +377,30 @@ def test_critical_strain_bad_bracket(default_p):
 def test_critical_strain_rejects_bad_tolerance(default_p, model, tol):
     # tol <= 0 never returned, and tol = nan returned the bracket midpoint
     with pytest.raises(ValueError, match="tolerance"):
-        critical_strain(model, RegionDecomposition(16, 4), default_p, 16, (1.0, 1.15), tol=tol)
+        critical_strain(model, RegionDecomposition(16, 4), default_p, (1.0, 1.15), tol=tol)
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_critical_strain_stops_at_adjacent_floats(default_p, model):
     # a tolerance below the float spacing ends where the bracket cannot shrink
     region = RegionDecomposition(16, 4)
-    f_star = critical_strain(model, region, default_p, 16, (1.0, 1.15), tol=1e-300)
-    assert abs(f_star - critical_strain(model, region, default_p, 16, (1.0, 1.15), tol=1e-15)) <= 1e-15
+    f_star = critical_strain(model, region, default_p, (1.0, 1.15), tol=1e-300)
+    assert abs(f_star - critical_strain(model, region, default_p, (1.0, 1.15), tol=1e-15)) <= 1e-15
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_critical_strain_rejects_non_finite_bracket_end(default_p, model):
     # an infinite upper end used to keep the bisection midpoint at inf forever
     with pytest.raises(BracketError, match="inf"):
-        critical_strain(model, RegionDecomposition(16, 4), default_p, 16, (1.0, math.inf))
-
-
-@pytest.mark.parametrize("model", list(ModelKind))
-def test_critical_strain_rejects_region_size_mismatch(default_p, model):
-    with pytest.raises(ValueError, match="region size 64 does not match N=128"):
-        critical_strain(model, RegionDecomposition(64, 8), default_p, 128, (1.0, 1.15))
+        critical_strain(model, RegionDecomposition(16, 4), default_p, (1.0, math.inf))
 
 
 def test_critical_strain_atomistic_gap_shrinks(default_p):
     region32 = RegionDecomposition(32, 6)
     region64 = RegionDecomposition(64, 6)
-    f_qcl = critical_strain(ModelKind.QCL, region32, default_p, 32, (1.0, 1.15))
-    gap32 = abs(critical_strain(ModelKind.ATOMISTIC, region32, default_p, 32, (1.0, 1.15)) - f_qcl)
-    gap64 = abs(critical_strain(ModelKind.ATOMISTIC, region64, default_p, 64, (1.0, 1.15)) - f_qcl)
+    f_qcl = critical_strain(ModelKind.QCL, region32, default_p, (1.0, 1.15))
+    gap32 = abs(critical_strain(ModelKind.ATOMISTIC, region32, default_p, (1.0, 1.15)) - f_qcl)
+    gap64 = abs(critical_strain(ModelKind.ATOMISTIC, region64, default_p, (1.0, 1.15)) - f_qcl)
     assert gap64 < gap32 / 3  # O(eps^2) shrink: factor ~4 per doubling
 
 
@@ -491,6 +468,6 @@ def test_non_finite_hessian_raises(default_p, model):
     nan_at_2f = ScalarFunctionC2(rho.eval, rho.d1, lambda r: np.where(r > 1.5, np.nan, rho.d2(r)))
     p = EAMPotential(default_p.pair, nan_at_2f, default_p.embedding, "nan-curvature")
     region = RegionDecomposition(16, 4)
-    for call in (lambda: min_eig_numeric(model, region, p, 1.0, 16), lambda: coefficients(p, 1.0)):
+    for call in (lambda: lambda_min(model, region, p, 1.0), lambda: coefficients(p, 1.0)):
         with pytest.raises(NonFiniteError, match="'nan-curvature'.*F=1.0"):
             call()
