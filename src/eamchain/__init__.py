@@ -1,7 +1,7 @@
 """Periodic EAM chain with quasi-nonlocal and local quasicontinuum couplings.
 
 Library layout: :mod:`~eamchain.lattice` (grids, fields, difference
-operators, norms, strain Fourier analysis), :mod:`~eamchain.potentials`
+operators, norms), :mod:`~eamchain.potentials`
 (scalar potential triples and assumption checks), :mod:`~eamchain.models`
 (the three chain energies with exact gradients and Hessians),
 :mod:`~eamchain.stability` (stability coefficients, spectra, critical
@@ -16,7 +16,6 @@ from .lattice import (
     displacement_from_strain,
     norm_l2eps,
     norm_region,
-    strain_fourier,
 )
 from .models import (
     Deformation,

@@ -212,48 +212,43 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _identity_deviation(u: PeriodicField) -> float:
-    """Largest relative deviation across the four summed strain identities."""
+    """Largest deviation across the four summed strain identities
+    ``sum lhs = sum_t c_t sum x_t^2``, relative to the size of the terms whose
+    roundoff both sides carry, ``sum |lhs| + sum_t |c_t| sum x_t^2``."""
     eps = u.grid.epsilon
-    a = diff(u, 1).values
-    b = diff(u, 2).values
-    c3 = diff(u, 3).values
-    c4 = diff(u, 4).values
+    a, b, c3, c4 = (diff(u, k).values for k in (1, 2, 3, 4))
     up = lambda x, k=1: np.roll(x, -k)  # noqa: E731
     dn = lambda x, k=1: np.roll(x, k)  # noqa: E731
-
-    pairs = []
-    lhs = np.sum((a + up(a)) ** 2)
-    rhs = np.sum(2 * a**2 + 2 * up(a) ** 2 - eps**2 * up(b) ** 2)
-    pairs.append((lhs, rhs))
-
-    lhs = np.sum((a + up(a) + up(a, 2)) ** 2)
-    rhs = np.sum(
-        3 * a**2
-        + 3 * up(a) ** 2
-        + 3 * up(a, 2) ** 2
-        - 3 * eps**2 * (up(b) ** 2 + up(b, 2) ** 2)
-        + eps**4 * up(c3, 2) ** 2
-    )
-    pairs.append((lhs, rhs))
-
-    lhs = np.sum(2 * (a + up(a)) * (dn(a) + a + up(a) + up(a, 2)))
-    rhs = np.sum(
-        2 * (dn(a) ** 2 + 3 * a**2 + 3 * up(a) ** 2 + up(a, 2) ** 2)
-        - 3 * eps**2 * (b**2 + 2 * up(b) ** 2 + up(b, 2) ** 2)
-        + eps**4 * (up(c3) ** 2 + up(c3, 2) ** 2)
-    )
-    pairs.append((lhs, rhs))
-
-    lhs = np.sum((a + up(a) + up(a, 2) + up(a, 3)) ** 2)
-    rhs = np.sum(
-        4 * (a**2 + up(a) ** 2 + up(a, 2) ** 2 + up(a, 3) ** 2)
-        - eps**2 * (6 * up(b) ** 2 + 8 * up(b, 2) ** 2 + 6 * up(b, 3) ** 2)
-        + eps**4 * (4 * up(c3, 2) ** 2 + 4 * up(c3, 3) ** 2)
-        - eps**6 * up(c4, 3) ** 2
-    )
-    pairs.append((lhs, rhs))
-
-    return max(abs(l - r) / max(abs(l), 1e-300) for l, r in pairs)
+    e2, e4, e6 = eps**2, eps**4, eps**6
+    identities = [
+        ((a + up(a)) ** 2, [(2, a), (2, up(a)), (-e2, up(b))]),
+        (
+            (a + up(a) + up(a, 2)) ** 2,
+            [(3, a), (3, up(a)), (3, up(a, 2)), (-3 * e2, up(b)), (-3 * e2, up(b, 2)), (e4, up(c3, 2))],
+        ),
+        (
+            2 * (a + up(a)) * (dn(a) + a + up(a) + up(a, 2)),
+            [
+                (2, dn(a)), (6, a), (6, up(a)), (2, up(a, 2)),
+                (-3 * e2, b), (-6 * e2, up(b)), (-3 * e2, up(b, 2)), (e4, up(c3)), (e4, up(c3, 2)),
+            ],
+        ),
+        (
+            (a + up(a) + up(a, 2) + up(a, 3)) ** 2,
+            [
+                (4, a), (4, up(a)), (4, up(a, 2)), (4, up(a, 3)),
+                (-6 * e2, up(b)), (-8 * e2, up(b, 2)), (-6 * e2, up(b, 3)),
+                (4 * e4, up(c3, 2)), (4 * e4, up(c3, 3)), (-e6, up(c4, 3)),
+            ],
+        ),
+    ]
+    worst = 0.0
+    for lhs, rhs in identities:
+        sums = [(c, np.sum(x**2)) for c, x in rhs]
+        deviation = abs(np.sum(lhs) - sum(c * s for c, s in sums))
+        scale = np.sum(np.abs(lhs)) + sum(abs(c) * s for c, s in sums)
+        worst = max(worst, deviation / max(scale, 1e-300))
+    return worst
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value shows as a FAIL line

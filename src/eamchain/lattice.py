@@ -1,4 +1,4 @@
-"""Periodic chain geometry, fields, difference operators, norms, and Fourier analysis.
+"""Periodic chain geometry, fields, difference operators and norms.
 
 The computational domain is one period of a 2N-site chain with reference
 spacing ``epsilon = 1/N``, sites labelled ``l = -N+1, ..., N``.  Displacements
@@ -22,7 +22,6 @@ __all__ = [
     "diff",
     "norm_l2eps",
     "norm_region",
-    "strain_fourier",
     "displacement_from_strain",
 ]
 
@@ -177,28 +176,6 @@ def norm_region(v: PeriodicField, region, mode: str = "l2") -> float:
     if mode == "max":
         return float(np.max(np.abs(vals)))
     raise ValueError(f"unknown norm mode {mode!r}")
-
-
-def strain_fourier(u: PeriodicField) -> np.ndarray:
-    """Coefficients c_k of the strain expansion of a displacement field.
-
-    Returns the complex array c indexed like sites (k = -N+1 .. N) with
-
-        (Du)_l = sum_k c_k / sqrt(2) * exp(i k l pi / N).
-
-    Parseval then gives ``sum |c_k|^2 = ||Du||^2`` in the l2_eps norm, and
-    c_0 = 0 because periodic strains sum to zero.  Computed by one FFT: the
-    site labels start at l = -N+1, which multiplies the FFT entry k (mod 2N)
-    by exp(i pi k (N-1) / N); that phase is reduced mod 2N in integers.
-    """
-    if u.kind != "displacement":
-        raise ValueError(f"strain spectrum needs a displacement field, got {u.kind!r}")
-    grid = u.grid
-    n = grid.period_atoms
-    k = grid.sites()
-    spectrum = np.fft.fft(diff(u, 1).values)[k % n]
-    phase = np.exp(1j * np.pi * ((k * (grid.N - 1)) % n) / grid.N)
-    return np.sqrt(2.0) / n * phase * spectrum
 
 
 def displacement_from_strain(grid: ChainGrid, strain: np.ndarray) -> PeriodicField:

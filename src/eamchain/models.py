@@ -149,6 +149,28 @@ class Deformation:
         return self.F + diff(self.displacement, 1).values
 
 
+def _band_apply(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Product of a symmetric periodic band matrix with v, in the layout of
+    :class:`SymmetricBandedOperator`: ``bands[i, j]`` couples entry i to
+    entry i+j.  A single row of bands is a circulant matrix, broadcast to
+    every entry."""
+    n, w = len(v), bands.shape[-1] - 1
+    if bands.ndim == 1:
+        band = lambda j, s: bands[j]  # noqa: E731
+    else:
+        b_pad = np.concatenate([bands[n - w :], bands])
+        band = lambda j, s: b_pad[w + s : w + s + n, j]  # noqa: E731
+    out = band(0, 0) * v
+    if not w:
+        return out
+    # periodic padding: entry i of a slice starting at w + s is index (i + s) % n
+    v_pad = np.concatenate([v[n - w :], v, v[:w]])
+    for j in range(1, w + 1):
+        out += band(j, 0) * v_pad[w + j : w + j + n]
+        out += band(j, -j) * v_pad[w - j : w - j + n]
+    return out
+
+
 @dataclass(frozen=True)
 class SymmetricBandedOperator:
     """Symmetric periodic-banded operator on site or strain fields.
@@ -171,17 +193,7 @@ class SymmetricBandedOperator:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Matrix-vector product with a full-period value array."""
-        v = np.asarray(values, dtype=float)
-        n, width = self.bands.shape
-        w = width - 1
-        # periodic padding: entry i of a slice starting at w + s is index (i + s) % n
-        v_pad = np.concatenate([v[n - w :], v, v[:w]])
-        b_pad = np.concatenate([self.bands[n - w :], self.bands])
-        out = self.bands[:, 0] * v
-        for j in range(1, width):
-            out += self.bands[:, j] * v_pad[w + j : w + j + n]
-            out += b_pad[w - j : w - j + n, j] * v_pad[w - j : w - j + n]
-        return out
+        return _band_apply(self.bands, np.asarray(values, dtype=float))
 
     def quadratic_form(self, u: PeriodicField) -> float:
         """<Hu, u> in the l2_eps pairing."""
@@ -189,8 +201,7 @@ class SymmetricBandedOperator:
 
     def norm_inf(self) -> float:
         """Infinity norm: the largest absolute row sum."""
-        magnitude = SymmetricBandedOperator(self.grid, np.abs(self.bands))
-        return float(np.max(magnitude.apply(np.ones(self.grid.period_atoms))))
+        return float(np.max(_band_apply(np.abs(self.bands), np.ones(self.grid.period_atoms))))
 
     def to_dense(self) -> np.ndarray:
         n = self.grid.period_atoms
@@ -473,6 +484,25 @@ def strain_hessian_blocks(
     return region.N - K - 2 + offsets, bands[:-1], bands[-1]
 
 
+def _apply_q(blocks: tuple, r: np.ndarray) -> np.ndarray:
+    """Q r from the ``blocks`` of :func:`strain_hessian_blocks`, equal to
+    ``strain_hessian(...).apply(r)``: the far row as a circulant stencil (A_F
+    alone for a coupled model), then the core rows from the core block,
+    whose periodic wrap adds exact zeros as ``core_bands[m-d:, d] == 0``."""
+    core, core_bands, far = blocks
+    out = _band_apply(far if far[1:].any() else far[:1], r)
+    out[core] = _band_apply(core_bands, r[core])
+    return out
+
+
+def _q_norm_inf(blocks: tuple) -> float:
+    """Infinity norm of Q from its ``blocks``: the largest absolute row sum
+    over the core rows and the far row, at a cost O(K)."""
+    core, core_bands, far = blocks
+    far_sum = abs(far[0]) + 2 * np.sum(np.abs(far[1:]))
+    return float(np.max(_band_apply(np.abs(core_bands), np.ones(len(core))), initial=far_sum))
+
+
 def strain_hessian(
     model: ModelKind,
     region: RegionDecomposition,
@@ -486,7 +516,9 @@ def strain_hessian(
     times seven potential scalars; the atomistic and QCL models read just
     the size N from ``region``.  No model has a ghost force at a uniform
     state, so ``Q 1 = A_F 1`` (A_F the continuum modulus).  Raises
-    NonFiniteError if a scalar is not finite.
+    NonFiniteError if a scalar is not finite.  It fills all 2N rows, for
+    :func:`hessian` and the tests only; solves, residuals and Rayleigh
+    quotients apply Q from its blocks (:func:`_apply_q`).
     """
     core, core_bands, far = strain_hessian_blocks(model, region, p, F)
     bands = np.empty((2 * region.N, len(far)))

@@ -35,7 +35,8 @@ from .models import (
     ModelKind,
     RegionDecomposition,
     SymmetricBandedOperator,
-    strain_hessian,
+    _apply_q,
+    _band_apply,
     strain_hessian_blocks,
 )
 from .potentials import EAMPotential, _uniform_derivatives, require_finite
@@ -88,10 +89,7 @@ class SpectrumReport:
     """Eigenvalues lambda_k = lambda_F(s_k) of the atomistic chain.
 
     Arrays are in site order (k = -N+1 .. N); the k = 0 entry is the
-    translation mode and is excluded from the minimum.  ``minimizer_is_fundamental``
-    flags whether the minimum over k != 0 sits at |k| = 1, which the a2
-    condition guarantees; when it fails the report simply records where the
-    minimum moved.
+    translation mode and is excluded from the minimum.
     """
 
     F: float
@@ -101,10 +99,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     min_eigenvalue: float
     min_mode: int
-
-    @property
-    def minimizer_is_fundamental(self) -> bool:
-        return abs(self.min_mode) == 1
 
 
 def coefficients(p: EAMPotential, F: float) -> StabilityCoefficients:
@@ -293,12 +287,10 @@ def _core_min_eig(ab_q: np.ndarray, cap: float) -> float | None:
 
     if definite(cap):
         return None
-    # Gershgorin bound: row i's off-diagonal entries are ab_q[1:, i] and
-    # ab_q[d, i - d]; the zero padding lies past the block's last row
-    radius = np.abs(ab_q[1:]).sum(axis=0)
-    for d in range(1, len(ab_q)):
-        radius[d:] += np.abs(ab_q[d, :-d])
-    bound = float(np.min(ab_q[0] - radius))
+    # Gershgorin bound d - (row sum of |block| - |d|); the periodic wrap of
+    # the band product adds the zero padding past the block's last row
+    row_sums = _band_apply(np.abs(ab_q.T), np.ones(ab_q.shape[1]))
+    bound = float(np.min(ab_q[0] + np.abs(ab_q[0]) - row_sums))
     scale = max(1.0, abs(bound), abs(cap))
     start = bound - 1e-8 * scale
     lo, hi = _bisect(definite, start, min(cap, float(np.min(ab_q[0]))), 1e-14 * scale)
@@ -377,4 +369,5 @@ def rayleigh_quotient(
     norm = norm_l2eps(du)
     if norm == 0.0:
         raise ValueError("Rayleigh quotient of a constant field is undefined")
-    return strain_hessian(model, region, p, F).quadratic_form(du) / norm**2
+    q_du = _apply_q(strain_hessian_blocks(model, region, p, F), du.values)
+    return float(du.grid.epsilon * np.dot(du.values, q_du)) / norm**2

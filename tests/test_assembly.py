@@ -14,7 +14,9 @@ from eamchain.models import (
     ModelKind,
     STRAIN_HALF_BANDWIDTH,
     RegionDecomposition,
+    _apply_q,
     _core_basis,
+    _q_norm_inf,
     energy,
     force_scale,
     gradient,
@@ -189,6 +191,24 @@ def test_strain_hessian_is_core_block_plus_continuum_diagonal(name):
                         assert np.all(core_bands[m - d :, d] == 0)
                         block[core[k + d], core[k]] = block[core[k], core[k + d]] = core_bands[k, d]
                     assert np.array_equal(block, q.to_dense())
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
+def test_block_apply_and_norm_match_the_full_band_operator(rng, name):
+    # Q applied from its core block and far row gives the bits of the 2N-row
+    # band product, and its row-sum norm that of the dense matrix
+    p = POTENTIALS[name]
+    for n_half in range(4, 13):
+        r = rng.standard_normal(2 * n_half)
+        for K in range(n_half - 2):
+            region = RegionDecomposition(n_half, K)
+            for model in ModelKind:
+                for F in (0.95, 1.0, 1.1):
+                    blocks = strain_hessian_blocks(model, region, p, F)
+                    q = strain_hessian(model, region, p, F)
+                    assert np.array_equal(_apply_q(blocks, r), q.apply(r))
+                    dense_norm = np.abs(q.to_dense()).sum(1).max()
+                    assert abs(_q_norm_inf(blocks) - dense_norm) <= 1e-14 * dense_norm
 
 
 def test_cached_layouts_are_read_only():

@@ -107,11 +107,36 @@ def test_validate_command_passes(tmp_path, capsys):
 @pytest.mark.parametrize("seed", ["2", "4"])
 def test_validate_gradient_check_passes_at_n_2048(capsys, seed):
     # a 2nd-order difference with h = 1e-5 reported 1.1e-6 and 1.5e-6 here:
-    # roundoff of the energy sums, amplified by 1/h, not an assembly error.
-    # Only the gradient line is asserted: strain-identities draws its own
-    # small grids and does not depend on N or K
-    run_cli("--command", "validate", "--potential", POT, "--F", "1.0", "--N", "2048", "--K", "32", "--seed", seed)
+    # roundoff of the energy sums, amplified by 1/h, not an assembly error
+    status = run_cli("--command", "validate", "--potential", POT, "--F", "1.0", "--N", "2048", "--K", "32", "--seed", seed)
     assert "PASS gradient-vs-energy" in capsys.readouterr().out
+    assert status == 0
+
+
+@pytest.mark.parametrize("seed", ["0", "2", "7", "8"])
+def test_validate_strain_identities_pass_on_seeds_0_2_7_8(capsys, seed):
+    # relative to |lhs| alone these draws read 1.5e-12 to 3.2e-12: the
+    # roundoff of the right-hand side scales with its larger terms
+    status = run_cli("--command", "validate", "--potential", POT, "--F", "1.0", "--N", "64", "--K", "10", "--seed", seed)
+    assert "PASS strain-identities" in capsys.readouterr().out
+    assert status == 0
+
+
+def test_validate_catches_a_second_difference_off_by_1e_9(monkeypatch, capsys):
+    exact = cli.diff
+
+    def off(u, order=1):
+        d = exact(u, order)
+        if order != 2:
+            return d
+        values = d.values.copy()
+        values[3] *= 1 + 1e-9
+        return cli.PeriodicField(d.grid, values, d.kind)
+
+    monkeypatch.setattr(cli, "diff", off)
+    status = run_cli("--command", "validate", "--potential", POT, "--F", "0.95,1.0,1.1", "--N", "64", "--K", "10")
+    assert status == 1
+    assert "FAIL strain-identities" in capsys.readouterr().out
 
 
 def test_validate_catches_a_gradient_off_by_1e_5(monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""Grid, field, difference-operator, norm, and Fourier tests."""
+"""Grid, field, difference-operator and norm tests."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from eamchain.lattice import (
     displacement_from_strain,
     norm_l2eps,
     norm_region,
-    strain_fourier,
 )
 
 from conftest import random_displacement
@@ -115,37 +114,6 @@ def test_norm_region_modes(rng):
     assert norm_region(w, sites, "max") == max(abs(w[l]) for l in sites)
     with pytest.raises(ValueError):
         norm_region(w, [])
-
-
-def test_strain_fourier_zero_and_single_mode():
-    grid = ChainGrid(8)
-    z = PeriodicField.zeros(grid, "displacement")
-    assert np.max(np.abs(strain_fourier(z))) == 0.0
-    # strain sin(eps*l*pi) lives in modes k = +-1
-    s = np.sin(np.pi * grid.epsilon * grid.sites())
-    u = displacement_from_strain(grid, s)
-    c = strain_fourier(u)
-    others = [abs(c[grid.index(k)]) for k in range(-7, 9) if abs(k) != 1]
-    assert max(others) <= 1e-12
-    assert abs(c[grid.index(0)]) <= 1e-15
-
-
-def test_strain_fourier_roundtrip_and_parseval(rng):
-    grid = ChainGrid(8)
-    u = random_displacement(grid, rng, strain_scale=1.0)
-    c = strain_fourier(u)
-    du = diff(u, 1).values
-    # inverse by the defining sum (Du)_l = sum_k c_k / sqrt(2) exp(i k l pi / N)
-    sites = grid.sites()
-    basis = np.exp(1j * np.pi * np.outer(sites, sites) / grid.N)
-    np.testing.assert_allclose(basis @ c / np.sqrt(2.0), du, atol=1e-12)
-    assert np.sum(np.abs(c) ** 2) == pytest.approx(norm_l2eps(diff(u, 1)) ** 2, rel=1e-12)
-
-
-def test_strain_fourier_requires_displacement():
-    grid = ChainGrid(8)
-    with pytest.raises(ValueError):
-        strain_fourier(PeriodicField.zeros(grid, "strain"))
 
 
 def _identity_pairs(u):

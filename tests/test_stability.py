@@ -128,7 +128,7 @@ def test_fourier_spectrum_symmetry_and_min(default_p):
         assert rep.eigenvalues[g.index(k)] == pytest.approx(
             rep.eigenvalues[g.index(-k)], rel=1e-15
         )
-    assert rep.minimizer_is_fundamental
+    assert abs(rep.min_mode) == 1
     assert rep.min_eigenvalue == pytest.approx(
         lambda_cubic(coefficients(default_p, 1.0), rep.s_values[g.index(1)]), rel=1e-15
     )
@@ -151,7 +151,6 @@ def test_reversal_minimizer_leaves_fundamental(reversal_p):
     # with the second-difference coefficient negative the cubic decreases,
     # so the zone-boundary mode becomes the minimizer
     rep = fourier_spectrum(reversal_p, 1.0, 64)
-    assert not rep.minimizer_is_fundamental
     assert abs(rep.min_mode) == 64
 
 
