@@ -3,10 +3,12 @@
 Configs use the same ``key = value`` grammar as potential files; every
 config key has a matching command-line flag and flags override the file.
 Outputs are CSV tables (UTF-8, '.' decimal, >= 12 significant digits) plus,
-for rate studies, a plain-text gnuplot script; files are written atomically
-once an experiment completes.  Identical config and seed reproduce the same
-bytes, except for the wall-clock runtime_ms diagnostic column of rate
-studies.
+for rate studies, a plain-text gnuplot script.  Every command runs through
+:func:`main`, which loads the potential once, runs the command's runner and
+only then writes the files the runner returned, each atomically: a command
+that fails writes no file, and a command's files are held in memory until
+it completes.  Identical config and seed reproduce the same bytes, except
+for the wall-clock runtime_ms diagnostic column of rate studies.
 
 Exit status: 0 all invoked checks passed, 1 a validation check failed,
 2 config error (a malformed value; the message names its flag or file:line),
@@ -35,7 +37,13 @@ from .models import (
     force_scale,
     gradient,
 )
-from .potentials import NonFiniteError, check_assumptions, load_potential_file, validate_derivatives
+from .potentials import (
+    EAMPotential,
+    NonFiniteError,
+    check_assumptions,
+    load_potential_file,
+    validate_derivatives,
+)
 from .solver import (
     NotPositiveDefiniteError,
     SolveError,
@@ -57,9 +65,6 @@ from .stability import (
 )
 from .textconfig import ConfigError, parse_kv_lines
 
-COMMANDS = ("validate", "spectrum", "critical-strain", "converge", "consistency", "remark44")
-
-
 @dataclass
 class ExperimentConfig:
     command: str = ""
@@ -73,6 +78,10 @@ class ExperimentConfig:
     seed: int = 20240
 
     def k_for(self, n: int) -> int:
+        """K at chain size n: N/2 for remark44, whose test functions span
+        half the chain, else the K rule."""
+        if self.command == "remark44":
+            return n // 2
         theta = _power_theta(self.K_rule)
         return self.K if theta is None else power_k_rule(theta)(n)
 
@@ -88,7 +97,7 @@ class ExperimentConfig:
         # spectrum is the one command with no coupled region, so no (N, K) pairing
         if self.command != "spectrum":
             for n in self.N_values:
-                k = self.k_for(n) if self.command != "remark44" else n // 2
+                k = self.k_for(n)
                 if not 0 <= k < n - 5:
                     raise ConfigError(f"need 0 <= K < N-5 for experiments, got K={k}, N={n}")
         if self.command == "critical-strain" and self.F_range is None:
@@ -189,16 +198,20 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Atomic CSV write: rows land on disk only once complete."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _csv_text(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-    payload = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file renamed over it,
+    so the file appears only complete."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(payload)
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -211,49 +224,35 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # --------------------------------------------------------------------------
 
 
+#: Right-hand sides of the four strain identities of :func:`_identity_deviation`,
+#: row i the coefficients of eps^(2j) sum (D^(j+1) u)^2, j = 0..3
+IDENTITY_RHS = np.array([[4, -1, 0, 0], [9, -6, 1, 0], [16, -12, 2, 0], [16, -20, 8, -1]])
+
+
 def _identity_deviation(u: PeriodicField) -> float:
     """Largest deviation across the four summed strain identities
-    ``sum lhs = sum_t c_t sum x_t^2``, relative to the size of the terms whose
-    roundoff both sides carry, ``sum |lhs| + sum_t |c_t| sum x_t^2``."""
+    ``sum lhs = IDENTITY_RHS @ sums``, relative to the size of the terms whose
+    roundoff both sides carry, ``sum |lhs| + |IDENTITY_RHS| @ sums``.  A
+    periodic sum does not depend on a shift, so each right-hand side needs
+    only the four sums ``eps^(2j) sum (D^(j+1) u)^2``."""
     eps = u.grid.epsilon
-    a, b, c3, c4 = (diff(u, k).values for k in (1, 2, 3, 4))
-    up = lambda x, k=1: np.roll(x, -k)  # noqa: E731
-    dn = lambda x, k=1: np.roll(x, k)  # noqa: E731
-    e2, e4, e6 = eps**2, eps**4, eps**6
-    identities = [
-        ((a + up(a)) ** 2, [(2, a), (2, up(a)), (-e2, up(b))]),
-        (
-            (a + up(a) + up(a, 2)) ** 2,
-            [(3, a), (3, up(a)), (3, up(a, 2)), (-3 * e2, up(b)), (-3 * e2, up(b, 2)), (e4, up(c3, 2))],
-        ),
-        (
-            2 * (a + up(a)) * (dn(a) + a + up(a) + up(a, 2)),
-            [
-                (2, dn(a)), (6, a), (6, up(a)), (2, up(a, 2)),
-                (-3 * e2, b), (-6 * e2, up(b)), (-3 * e2, up(b, 2)), (e4, up(c3)), (e4, up(c3, 2)),
-            ],
-        ),
-        (
-            (a + up(a) + up(a, 2) + up(a, 3)) ** 2,
-            [
-                (4, a), (4, up(a)), (4, up(a, 2)), (4, up(a, 3)),
-                (-6 * e2, up(b)), (-8 * e2, up(b, 2)), (-6 * e2, up(b, 3)),
-                (4 * e4, up(c3, 2)), (4 * e4, up(c3, 3)), (-e6, up(c4, 3)),
-            ],
-        ),
+    diffs = [diff(u, j + 1).values for j in range(4)]
+    sums = np.array([eps ** (2 * j) * np.sum(x**2) for j, x in enumerate(diffs)])
+    a = diffs[0]
+    up = lambda k: np.roll(a, -k)  # noqa: E731
+    lhs = [
+        (a + up(1)) ** 2,
+        (a + up(1) + up(2)) ** 2,
+        2 * (a + up(1)) * (up(-1) + a + up(1) + up(2)),
+        (a + up(1) + up(2) + up(3)) ** 2,
     ]
-    worst = 0.0
-    for lhs, rhs in identities:
-        sums = [(c, np.sum(x**2)) for c, x in rhs]
-        deviation = abs(np.sum(lhs) - sum(c * s for c, s in sums))
-        scale = np.sum(np.abs(lhs)) + sum(abs(c) * s for c, s in sums)
-        worst = max(worst, deviation / max(scale, 1e-300))
-    return worst
+    deviation = np.abs([np.sum(x) for x in lhs] - IDENTITY_RHS @ sums)
+    scale = [np.sum(np.abs(x)) for x in lhs] + np.abs(IDENTITY_RHS) @ sums
+    return float(np.max(deviation / np.maximum(scale, 1e-300)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value shows as a FAIL line
-def _run_validate(cfg: ExperimentConfig) -> int:
-    p = load_potential_file(cfg.potential)
+def _run_validate(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
     rng = np.random.default_rng(cfg.seed)
     checks: list[tuple[str, bool, str]] = []
 
@@ -314,17 +313,16 @@ def _run_validate(cfg: ExperimentConfig) -> int:
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failures += 0 if ok else 1
-    return 0 if failures == 0 else 1
+    return (0 if failures == 0 else 1), {}
 
 
 # --------------------------------------------------------------------------
-# experiment commands
+# experiment commands: each returns (exit status, {file name: text})
 # --------------------------------------------------------------------------
 
 
-def _run_spectrum(cfg: ExperimentConfig) -> int:
-    p = load_potential_file(cfg.potential)
-    out = Path(cfg.out_dir)
+def _run_spectrum(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
+    files = {}
     for f_val in cfg.F_values:
         for n in cfg.N_values:
             rep = fourier_spectrum(p, f_val, n)
@@ -332,24 +330,18 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
                 [int(k), float(s), float(lam)]
                 for k, s, lam in zip(rep.modes, rep.s_values, rep.eigenvalues)
             ]
-            write_csv(
-                out / f"spectrum_F{f_val:g}_N{n}.csv",
-                ["k", "s_k", "lambda_k"],
-                rows,
-            )
-    return 0
+            files[f"spectrum_F{f_val:g}_N{n}.csv"] = _csv_text(["k", "s_k", "lambda_k"], rows)
+    return 0, files
 
 
-def _run_critical_strain(cfg: ExperimentConfig) -> int:
-    p = load_potential_file(cfg.potential)
+def _run_critical_strain(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
     rows = []
     for model in (ModelKind.ATOMISTIC, ModelKind.QNL, ModelKind.QCL):
         for n in cfg.N_values:
             region = RegionDecomposition(n, cfg.k_for(n))
             f_star = critical_strain(model, region, p, cfg.F_range)
             rows.append([model.value, n, float(f_star)])
-    write_csv(Path(cfg.out_dir) / "critical_strain.csv", ["model", "N", "F_star"], rows)
-    return 0
+    return 0, {"critical_strain.csv": _csv_text(["model", "N", "F_star"], rows)}
 
 
 GNUPLOT_TEMPLATE = """# log-log strain error and consistency negative norm vs eps
@@ -363,14 +355,11 @@ plot 'converge.csv' using 3:4 skip 1 with linespoints title 'strain error', \\
 """
 
 
-def _run_converge(cfg: ExperimentConfig) -> int:
-    p = load_potential_file(cfg.potential)
+def _run_converge(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
     records, rates = convergence_study(p, cfg.F_values[0], cosine_load, cfg.k_for, cfg.N_values)
     # the record's fields are the leading columns, in order
     rows = [[*astuple(r), rates["error_slope_all"], rates["error_slope_tail"]] for r in records]
-    out = Path(cfg.out_dir)
-    write_csv(
-        out / "converge.csv",
+    table = _csv_text(
         [
             "N",
             "K",
@@ -387,16 +376,14 @@ def _run_converge(cfg: ExperimentConfig) -> int:
         ],
         rows,
     )
-    (out / "converge_plot.gp").write_text(GNUPLOT_TEMPLATE, encoding="utf-8")
     print(
         f"error slope (tail) {rates['error_slope_tail']:.3f}, "
         f"negnorm slope (tail) {rates['negnorm_slope_tail']:.3f}"
     )
-    return 0
+    return 0, {"converge.csv": table, "converge_plot.gp": GNUPLOT_TEMPLATE}
 
 
-def _run_consistency(cfg: ExperimentConfig) -> int:
-    p = load_potential_file(cfg.potential)
+def _run_consistency(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
     f_val = cfg.F_values[0]
     rows = []
     for n in cfg.N_values:
@@ -409,16 +396,11 @@ def _run_consistency(cfg: ExperimentConfig) -> int:
         # consistency estimate.
         m_required = negnorm / (eps**2 * d3 + eps**1.5 * d2max)
         rows.append([n, region.K, eps, negnorm, d3, d2max, m_required])
-    write_csv(
-        Path(cfg.out_dir) / "consistency.csv",
-        ["N", "K", "epsilon", "negnorm", "D3_C", "D2_I_max", "M_required"],
-        rows,
-    )
-    return 0
+    header = ["N", "K", "epsilon", "negnorm", "D3_C", "D2_I_max", "M_required"]
+    return 0, {"consistency.csv": _csv_text(header, rows)}
 
 
-def _run_remark44(cfg: ExperimentConfig) -> int:
-    p = load_potential_file(cfg.potential)
+def _run_remark44(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
     f_val = cfg.F_values[0]
     # zone-boundary value of the stability cubic: phi''(F) + 2 G'(rho_bar) rho''(F)
     target = lambda_cubic(coefficients(p, f_val), 4.0)
@@ -426,7 +408,7 @@ def _run_remark44(cfg: ExperimentConfig) -> int:
     gaps = []
     ks = []
     for n in cfg.N_values:
-        k = n // 2
+        k = cfg.k_for(n)
         region = RegionDecomposition(n, k)
         u_tilde, u_hat = remark_test_functions(n, k)
         rq_atom = rayleigh_quotient(ModelKind.ATOMISTIC, region, p, f_val, u_tilde)
@@ -435,16 +417,13 @@ def _run_remark44(cfg: ExperimentConfig) -> int:
         rows.append([k, n, rq_atom, rq_qnl, qcl_min, target, rq_qnl - target])
         ks.append(k)
         gaps.append(abs(rq_qnl - target))
-    out = Path(cfg.out_dir)
-    write_csv(
-        out / "remark44.csv",
-        ["K", "N", "rq_atomistic_utilde", "rq_qnl_uhat", "qcl_lambda_min", "target", "gap"],
-        rows,
-    )
+    header = ["K", "N", "rq_atomistic_utilde", "rq_qnl_uhat", "qcl_lambda_min", "target", "gap"]
     # gap ~ C / K, so the decay exponent is the log-log slope against 1/K
     exponent = fit_loglog_slope([1.0 / k for k in ks], gaps) if len(ks) > 1 else float("nan")
-    write_csv(out / "remark44_fit.csv", ["decay_exponent", "target"], [[exponent, target]])
-    return 0
+    return 0, {
+        "remark44.csv": _csv_text(header, rows),
+        "remark44_fit.csv": _csv_text(["decay_exponent", "target"], [[exponent, target]]),
+    }
 
 
 RUNNERS = {
@@ -455,6 +434,7 @@ RUNNERS = {
     "consistency": _run_consistency,
     "remark44": _run_remark44,
 }
+COMMANDS = tuple(RUNNERS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,8 +463,8 @@ def main(argv=None) -> int:
             if key != "config" and value is not None:
                 _apply_entry(cfg, key, value, f"<flag --{key.replace('_', '-')}>")
         cfg.validate()
-        return RUNNERS[cfg.command](cfg)
-    except ConfigError as exc:  # also a malformed potential file, read by the runner
+        status, files = RUNNERS[cfg.command](cfg, load_potential_file(cfg.potential))
+    except ConfigError as exc:  # also a malformed potential file
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NotPositiveDefiniteError, SolveError, BracketError) as exc:
@@ -493,6 +473,9 @@ def main(argv=None) -> int:
     except NonFiniteError as exc:
         print(f"numerical failure in {cfg.command!r}: {exc} (file {cfg.potential})", file=sys.stderr)
         return 3
+    for name, text in files.items():
+        _write_atomic(Path(cfg.out_dir) / name, text)
+    return status
 
 
 if __name__ == "__main__":

@@ -473,7 +473,7 @@ def strain_hessian_blocks(
     """Strain Hessian at y_F as (core rows at N, their bands, far-row bands),
     with ``core_bands.T`` the core block in LAPACK lower band storage.  Every
     row off the core is the far row: A_F I for a coupled model (``far[0]``
-    is A_F), the circulant row for the atomistic chain.  Bands come from
+    is A_F to rounding), the circulant row for the atomistic chain.  Bands come from
     :func:`_core_basis`, compiled once per model and K, so neither the cost
     nor the values depend on N.
     """

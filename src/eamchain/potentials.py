@@ -51,17 +51,6 @@ __all__ = [
     "require_finite",
 ]
 
-POTENTIAL_KEYS = {
-    "name",
-    "family.pair",
-    "family.density",
-    "family.embedding",
-    "alpha",
-    "beta",
-    "c0",
-    "c1",
-}
-
 #: Documented strain ranges on which check_assumptions(...).a1_holds is true
 #: for the shipped potentials (and a2 also holds for "default-eam").  These
 #: were established by scripts/scan_potentials.py and are asserted in tests.
@@ -189,6 +178,19 @@ def zero_function() -> ScalarFunctionC2:
     return ScalarFunctionC2(zero, zero, zero, "zero")
 
 
+#: Parseable families by role, in the order of :class:`EAMPotential`'s
+#: members: family name -> (constructor, keys of its numeric parameters)
+FAMILIES = {
+    "pair": {"morse": (morse_pair, ("alpha",)), "zero": (zero_function, ())},
+    "density": {"expdecay": (expdecay_density, ("beta",)), "zero": (zero_function, ())},
+    "embedding": {"quadratic": (quadratic_embedding, ("c0", "c1")), "zero": (zero_function, ())},
+}
+
+POTENTIAL_KEYS = {"name", *(f"family.{role}" for role in FAMILIES)} | {
+    key for families in FAMILIES.values() for _, keys in families.values() for key in keys
+}
+
+
 def mean_field_density(p: EAMPotential, F: float) -> float:
     """Summed electron density 2 rho(F) + 2 rho(2F) at uniform strain F."""
     return 2.0 * p.density(F) + 2.0 * p.density(2 * F)
@@ -313,8 +315,9 @@ def validate_derivatives(
 def parse_potential(text: str, origin: str = "<string>") -> EAMPotential:
     """Parse a potential definition from key = value text.
 
-    Recognized keys: name, family.pair, family.density, family.embedding,
-    alpha, beta, c0, c1.  Unknown keys are a hard error (with line number).
+    Recognized keys (POTENTIAL_KEYS): name, family.pair, family.density,
+    family.embedding and the parameters of the FAMILIES: alpha, beta, c0,
+    c1.  Unknown keys are a hard error (with line number).
     """
     entries = parse_kv_lines(text, origin)
     seen: dict[str, str] = {}
@@ -336,32 +339,14 @@ def parse_potential(text: str, origin: str = "<string>") -> EAMPotential:
             raise ConfigError(f"{origin}: parameter {key!r} must be finite, got {seen[key]!r}")
         return value
 
-    fam_pair = seen.get("family.pair", "zero")
-    fam_density = seen.get("family.density", "zero")
-    fam_embedding = seen.get("family.embedding", "zero")
-
-    if fam_pair == "morse":
-        pair = morse_pair(_num("alpha"))
-    elif fam_pair == "zero":
-        pair = zero_function()
-    else:
-        raise ConfigError(f"{origin}: unknown pair family {fam_pair!r}")
-
-    if fam_density == "expdecay":
-        density = expdecay_density(_num("beta"))
-    elif fam_density == "zero":
-        density = zero_function()
-    else:
-        raise ConfigError(f"{origin}: unknown density family {fam_density!r}")
-
-    if fam_embedding == "quadratic":
-        embedding = quadratic_embedding(_num("c0"), _num("c1"))
-    elif fam_embedding == "zero":
-        embedding = zero_function()
-    else:
-        raise ConfigError(f"{origin}: unknown embedding family {fam_embedding!r}")
-
-    return EAMPotential(pair, density, embedding, name=seen.get("name", ""))
+    members = []
+    for role, families in FAMILIES.items():
+        family = seen.get(f"family.{role}", "zero")
+        if family not in families:
+            raise ConfigError(f"{origin}: unknown {role} family {family!r}")
+        make, keys = families[family]
+        members.append(make(*map(_num, keys)))
+    return EAMPotential(*members, name=seen.get("name", ""))
 
 
 def load_potential_file(path) -> EAMPotential:

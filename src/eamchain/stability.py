@@ -269,8 +269,8 @@ def lambda_min(model: ModelKind, region: RegionDecomposition, p: EAMPotential, F
     """
     if model == ModelKind.ATOMISTIC:
         return _atomistic_min(coefficients(p, F), region.N)
-    core, core_bands, far = strain_hessian_blocks(model, region, p, F)
-    a_f = float(far[0])
+    core, core_bands, _ = strain_hessian_blocks(model, region, p, F)
+    a_f = coefficients(p, F).A
     found = _core_min_eig(core_bands.T, a_f - 1e-14 * max(1.0, abs(a_f))) if len(core) else None
     return a_f if found is None else found
 

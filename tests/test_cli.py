@@ -345,3 +345,13 @@ def test_validate_fails_on_non_finite_forces(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL ghost-force: max|g|/scale nan" in out
     assert "FAIL gradient-vs-energy: max rel deviation nan" in out
+
+
+def test_a_failed_command_writes_no_file(tmp_path, capsys):
+    # the spectrum at F = 1.0 completes before F = 0.5 overflows; neither is written
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    args = ["--command", "spectrum", "--potential", _steep_potential(tmp_path), "--F", "1.0,0.5", "--N", "8"]
+    assert run_cli(*args, "--out-dir", str(out_dir)) == 3
+    assert "F=0.5" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
