@@ -39,9 +39,10 @@ the identity, and the atomistic one is circulant.  The region classes
 around the core are the same on every grid, so a basis of exact small
 rationals, compiled once per ``(model, K)``, maps the seven scalars to the
 bands of the core rows and of one far row by one matrix-vector product;
-every strain Hessian, and the stability decisions built on it, come from
-those bands and give the same bits at every N.  The scalars come from
-derivatives of the potential memoized per strain.
+every strain Hessian is those bands as a :class:`SymmetricBandedOperator`,
+the one banded form, and it and the stability decisions built on it give
+the same bits at every N.  The scalars come from derivatives of the
+potential memoized per strain.
 
 Conventions: the model energy is the interaction energy per period (dead
 loads are handled in :mod:`eamchain.solver`).  Gradients g satisfy
@@ -49,7 +50,8 @@ loads are handled in :mod:`eamchain.solver`).  Gradients g satisfy
 the uniform state satisfy ``d2E(y_F)[u, w] = eps * sum_l (Hu)_l w_l``; they
 are assembled as ``H = D^T Q D`` from the strain Hessian Q.  Solves and
 stability tests work on Q alone, whose entries stay of order one at every
-N while those of H grow like N^2; :func:`hessian` builds H on request.
+N while those of H grow like N^2; :func:`hessian` builds H on request, as
+a block on every row.
 Assembly is deterministic: the arrays and the order of every sum are fixed
 by ``(model, N, K)``, so repeated evaluations are bitwise identical.
 """
@@ -73,7 +75,6 @@ __all__ = [
     "energy",
     "gradient",
     "strain_hessian",
-    "strain_hessian_blocks",
     "hessian",
     "force_scale",
 ]
@@ -150,10 +151,10 @@ class Deformation:
 
 
 def _band_apply(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Product of a symmetric periodic band matrix with v, in the layout of
-    :class:`SymmetricBandedOperator`: ``bands[i, j]`` couples entry i to
-    entry i+j.  A single row of bands is a circulant matrix, broadcast to
-    every entry."""
+    """Product of a symmetric periodic band matrix with v: ``bands[i, j]``
+    couples entry i to entry i+j (periodic) for j = 0..w, and the lower
+    triangle follows by symmetry.  A single row of bands is a circulant
+    matrix, broadcast to every entry."""
     n, w = len(v), bands.shape[-1] - 1
     if bands.ndim == 1:
         band = lambda j, s: bands[j]  # noqa: E731
@@ -171,46 +172,65 @@ def _band_apply(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SymmetricBandedOperator:
-    """Symmetric periodic-banded operator on site or strain fields.
+def _dense_bands(bands: np.ndarray) -> np.ndarray:
+    """Dense symmetric periodic matrix of ``bands`` in the layout of
+    :func:`_band_apply`."""
+    n = len(bands)
+    idx = np.arange(n)
+    out = np.zeros((n, n))
+    out[idx, idx] = bands[:, 0]
+    for j in range(1, bands.shape[1]):
+        out[idx, (idx + j) % n] += bands[:, j]
+        out[(idx + j) % n, idx] += bands[:, j]
+    return out
 
-    ``bands[i, j]`` couples entry i to entry i+j (periodic) for offsets
-    j = 0..w, the half-bandwidth w = ``bands.shape[1] - 1`` (4 for site, 3
-    for strain Hessians); the lower triangle follows by symmetry.  Acts in
-    the l2_eps pairing: the quadratic form is ``eps * u . apply(u)``.
+
+@dataclass(eq=False)
+class SymmetricBandedOperator:
+    """Symmetric periodic-banded operator on n site or strain values: a block
+    on the rows ``core`` plus one circulant row ``far`` that every other row
+    uses.
+
+    ``core_bands`` is a periodic band matrix on the core entries in the
+    layout of :func:`_band_apply`, and ``far[j]`` couples every other entry i
+    to entry i+j, for offsets j = 0..w (w = 4 for site, 3 for strain
+    Hessians); the lower triangle follows by symmetry.  The far row couples
+    no other row to a core row: it is diagonal unless the core is empty or
+    every row, and a block on every row is a general periodic band matrix.
+    Acts in the l2_eps pairing: the quadratic form is ``eps * u . apply(u)``.
+    One is built per stability decision, so construction copies, checks and
+    freezes nothing.
     """
 
-    grid: ChainGrid
-    bands: np.ndarray
+    n: int
+    core: np.ndarray
+    core_bands: np.ndarray
+    far: np.ndarray
 
-    def __post_init__(self) -> None:
-        b = np.array(self.bands, dtype=float, order="C")
-        if b.ndim != 2 or b.shape[0] != self.grid.period_atoms or not 1 <= b.shape[1] <= b.shape[0]:
-            raise ValueError(f"bands have wrong shape {b.shape}")
-        b.flags.writeable = False
-        object.__setattr__(self, "bands", b)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Matrix-vector product with a full-period value array."""
-        return _band_apply(self.bands, np.asarray(values, dtype=float))
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """Product with v: the far row as a circulant stencil (its diagonal
+        alone if that is all it has), then the core rows from the block."""
+        if len(v) != self.n:
+            raise ValueError(f"operator on {self.n} values applied to {len(v)} values")
+        far = self.far
+        out = _band_apply(far if far[1:].any() else far[:1], v)
+        out[self.core] = _band_apply(self.core_bands, v[self.core])
+        return out
 
     def quadratic_form(self, u: PeriodicField) -> float:
-        """<Hu, u> in the l2_eps pairing."""
-        return float(self.grid.epsilon * np.dot(u.values, self.apply(u.values)))
+        """<Au, u> in the l2_eps pairing."""
+        return float(u.grid.epsilon * np.dot(u.values, self.apply(u.values)))
 
     def norm_inf(self) -> float:
-        """Infinity norm: the largest absolute row sum."""
-        return float(np.max(_band_apply(np.abs(self.bands), np.ones(self.grid.period_atoms))))
+        """Infinity norm: the largest absolute row sum over the core rows and
+        the far row, at a cost independent of the rows off the core."""
+        far_sum = abs(self.far[0]) + 2 * np.sum(np.abs(self.far[1:]))
+        return float(np.max(_band_apply(np.abs(self.core_bands), np.ones(len(self.core))), initial=far_sum))
 
     def to_dense(self) -> np.ndarray:
-        n = self.grid.period_atoms
-        idx = np.arange(n)
-        out = np.zeros((n, n))
-        out[idx, idx] = self.bands[:, 0]
-        for j in range(1, self.bands.shape[1]):
-            out[idx, (idx + j) % n] += self.bands[:, j]
-            out[(idx + j) % n, idx] += self.bands[:, j]
+        """The circulant far row, with the core block written over it."""
+        out = _dense_bands(np.broadcast_to(self.far, (self.n, len(self.far))))
+        out[np.ix_(self.core, self.core)] = _dense_bands(self.core_bands)
         return out
 
 
@@ -464,45 +484,6 @@ def _uniform_scalars(p: EAMPotential, F: float) -> np.ndarray:
     return scalars
 
 
-def strain_hessian_blocks(
-    model: ModelKind,
-    region: RegionDecomposition,
-    p: EAMPotential,
-    F: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Strain Hessian at y_F as (core rows at N, their bands, far-row bands),
-    with ``core_bands.T`` the core block in LAPACK lower band storage.  Every
-    row off the core is the far row: A_F I for a coupled model (``far[0]``
-    is A_F to rounding), the circulant row for the atomistic chain.  Bands come from
-    :func:`_core_basis`, compiled once per model and K, so neither the cost
-    nor the values depend on N.
-    """
-    scalars = _uniform_scalars(p, F)
-    K = region.K if model == ModelKind.QNL else -1
-    offsets, basis = _core_basis(model, K)
-    bands = (basis @ scalars).reshape(-1, STRAIN_HALF_BANDWIDTH + 1)
-    return region.N - K - 2 + offsets, bands[:-1], bands[-1]
-
-
-def _apply_q(blocks: tuple, r: np.ndarray) -> np.ndarray:
-    """Q r from the ``blocks`` of :func:`strain_hessian_blocks`, equal to
-    ``strain_hessian(...).apply(r)``: the far row as a circulant stencil (A_F
-    alone for a coupled model), then the core rows from the core block,
-    whose periodic wrap adds exact zeros as ``core_bands[m-d:, d] == 0``."""
-    core, core_bands, far = blocks
-    out = _band_apply(far if far[1:].any() else far[:1], r)
-    out[core] = _band_apply(core_bands, r[core])
-    return out
-
-
-def _q_norm_inf(blocks: tuple) -> float:
-    """Infinity norm of Q from its ``blocks``: the largest absolute row sum
-    over the core rows and the far row, at a cost O(K)."""
-    core, core_bands, far = blocks
-    far_sum = abs(far[0]) + 2 * np.sum(np.abs(far[1:]))
-    return float(np.max(_band_apply(np.abs(core_bands), np.ones(len(core))), initial=far_sum))
-
-
 def strain_hessian(
     model: ModelKind,
     region: RegionDecomposition,
@@ -513,18 +494,21 @@ def strain_hessian(
     ``d2E(y_F)[u, w] = eps * sum_l (Q Du)_l (Dw)_l``.
 
     Only y_F Hessians are built (the analysis point), as a compiled basis
-    times seven potential scalars; the atomistic and QCL models read just
-    the size N from ``region``.  No model has a ghost force at a uniform
-    state, so ``Q 1 = A_F 1`` (A_F the continuum modulus).  Raises
-    NonFiniteError if a scalar is not finite.  It fills all 2N rows, for
-    :func:`hessian` and the tests only; solves, residuals and Rayleigh
-    quotients apply Q from its blocks (:func:`_apply_q`).
+    (:func:`_core_basis`) times seven potential scalars, so neither the cost
+    nor the values depend on N; the atomistic and QCL models read just the
+    size N from ``region``.  The core is the 2K+4 rows around the QNL
+    atomistic region (none for the other models), with ``core_bands.T`` its
+    block in LAPACK lower band storage; every other row is the far row: A_F I
+    for a coupled model (``far[0]`` is A_F to rounding), the circulant row
+    for the atomistic chain.  No model has a ghost force at a uniform state,
+    so ``Q 1 = A_F 1`` (A_F the continuum modulus).  Raises NonFiniteError
+    if a scalar is not finite.
     """
-    core, core_bands, far = strain_hessian_blocks(model, region, p, F)
-    bands = np.empty((2 * region.N, len(far)))
-    bands[:] = far
-    bands[core] = core_bands
-    return SymmetricBandedOperator(ChainGrid(region.N), bands)
+    scalars = _uniform_scalars(p, F)
+    K = region.K if model == ModelKind.QNL else -1
+    offsets, basis = _core_basis(model, K)
+    bands = (basis @ scalars).reshape(-1, STRAIN_HALF_BANDWIDTH + 1)
+    return SymmetricBandedOperator(2 * region.N, region.N - K - 2 + offsets, bands[:-1], bands[-1])
 
 
 def hessian(
@@ -536,8 +520,12 @@ def hessian(
     """Site-space second variation D^T Q D at y_F of :func:`strain_hessian`;
     it annihilates constants and its rows are circulant deep inside the
     atomistic and continuum regions."""
-    q_op = strain_hessian(model, region, p, F)
-    return SymmetricBandedOperator(q_op.grid, _site_bands_from_strain_bands(q_op.grid, q_op.bands))
+    q = strain_hessian(model, region, p, F)
+    q_bands = np.empty((q.n, len(q.far)))
+    q_bands[:] = q.far
+    q_bands[q.core] = q.core_bands
+    bands = _site_bands_from_strain_bands(ChainGrid(region.N), q_bands)
+    return SymmetricBandedOperator(q.n, np.arange(q.n), bands, np.zeros(SITE_HALF_BANDWIDTH + 1))
 
 
 def force_scale(p: EAMPotential, F: float, grid: ChainGrid) -> float:

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lattice import ChainGrid, PeriodicField, diff, displacement_from_strain, norm_l2eps, norm_region
-from .models import ModelKind, RegionDecomposition, _apply_q, _q_norm_inf, strain_hessian_blocks
+from .models import ModelKind, RegionDecomposition, strain_hessian
 from .potentials import EAMPotential
 from .stability import coefficients, lambda_min, strain_solver
 
@@ -127,7 +127,7 @@ def _strain_solution(
     grid = load.field.grid
     if region.N != grid.N:
         raise ValueError("region and load live on different sizes")
-    blocks = strain_hessian_blocks(model, region, p, F)
+    q = strain_hessian(model, region, p, F)
     solve = strain_solver(model, region, p, F)
     if solve is None:
         raise NotPositiveDefiniteError(
@@ -137,8 +137,8 @@ def _strain_solution(
     s = -grid.epsilon * np.roll(np.cumsum(load.field.values), 1)
     s -= s.mean()
     r = solve(s)
-    res = float(np.max(np.abs(_apply_q(blocks, r) - s)))
-    limit = RESIDUAL_RTOL * (_q_norm_inf(blocks) * float(np.max(np.abs(r))) + float(np.max(np.abs(s))))
+    res = float(np.max(np.abs(q.apply(r) - s)))
+    limit = RESIDUAL_RTOL * (q.norm_inf() * float(np.max(np.abs(r))) + float(np.max(np.abs(s))))
     if res > limit:
         raise SolveError(
             f"{model.value} solve at F={F}, N={grid.N}: residual {res:.3e} exceeds "
@@ -205,8 +205,8 @@ def consistency_point(
     """
     grid = load.field.grid
     r_a = PeriodicField(grid, _strain_solution(ModelKind.ATOMISTIC, region, p, F, load), "strain")
-    sigma = _apply_q(strain_hessian_blocks(ModelKind.QNL, region, p, F), r_a.values)
-    sigma -= _apply_q(strain_hessian_blocks(ModelKind.ATOMISTIC, region, p, F), r_a.values)
+    sigma = strain_hessian(ModelKind.QNL, region, p, F).apply(r_a.values)
+    sigma -= strain_hessian(ModelKind.ATOMISTIC, region, p, F).apply(r_a.values)
     negnorm = norm_l2eps(PeriodicField(grid, sigma - sigma.mean()))
     d3 = norm_region(diff(r_a, 2), continuum_norm_sites(region), "l2")
     d2max = norm_region(diff(r_a, 1), interface_window_sites(region), "max")

@@ -31,14 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .lattice import ChainGrid, PeriodicField, diff, norm_l2eps
-from .models import (
-    ModelKind,
-    RegionDecomposition,
-    SymmetricBandedOperator,
-    _apply_q,
-    _band_apply,
-    strain_hessian_blocks,
-)
+from .models import ModelKind, RegionDecomposition, SymmetricBandedOperator, _band_apply, strain_hessian
 from .potentials import EAMPotential, _uniform_derivatives, require_finite
 
 __all__ = [
@@ -190,12 +183,10 @@ def fourier_spectrum(p: EAMPotential, F: float, N: int) -> SpectrumReport:
 
 
 def strain_metric_operator(grid: ChainGrid) -> SymmetricBandedOperator:
-    """Operator L with <Lu, u> = ||Du||^2 in the l2_eps pairing."""
-    n = grid.period_atoms
-    bands = np.zeros((n, 5))
-    bands[:, 0] = 2.0 / grid.epsilon**2
-    bands[:, 1] = -1.0 / grid.epsilon**2
-    return SymmetricBandedOperator(grid, bands)
+    """Operator L with <Lu, u> = ||Du||^2 in the l2_eps pairing: the far row
+    ``[2, -1, 0, 0, 0] / eps^2`` on every row."""
+    far = np.array([2.0, -1.0, 0.0, 0.0, 0.0]) / grid.epsilon**2
+    return SymmetricBandedOperator(grid.period_atoms, np.arange(0), np.zeros((0, 5)), far)
 
 
 def _band_solver(ab: np.ndarray):
@@ -213,7 +204,7 @@ def strain_solver(model: ModelKind, region: RegionDecomposition, p: EAMPotential
     """Solve with the strain Hessian Q at y_F, or None if Q is not positive
     definite.  The atomistic Q is circulant, with eigenvalue lambda_F(s_k) on
     strain Fourier mode k: definite when all are positive, solved by FFT.  A
-    coupled Q is a core block plus A_F I (:func:`strain_hessian_blocks`):
+    coupled Q is a core block plus A_F I (:func:`~eamchain.models.strain_hessian`):
     definite when A_F > 0 and the block's banded Cholesky succeeds."""
     N = region.N
     if model == ModelKind.ATOMISTIC:
@@ -225,8 +216,8 @@ def strain_solver(model: ModelKind, region: RegionDecomposition, p: EAMPotential
         # only the second term, so its roundoff stays small on smooth strains
         excess = s * (c.B + c.C * s + c.D * s**2) / (lam * c.A)
         return lambda b: b / c.A - np.fft.irfft(np.fft.rfft(b) * excess, 2 * N)
-    core, core_bands, far = strain_hessian_blocks(model, region, p, F)
-    a_f = far[0]
+    q = strain_hessian(model, region, p, F)
+    core, core_bands, a_f = q.core, q.core_bands, q.far[0]
     # A_F decides alone when it is not positive or the core is empty (QCL)
     core_solve = _band_solver(core_bands.T) if a_f > 0 and len(core) else np.copy
     if not a_f > 0 or core_solve is None:
@@ -269,9 +260,9 @@ def lambda_min(model: ModelKind, region: RegionDecomposition, p: EAMPotential, F
     """
     if model == ModelKind.ATOMISTIC:
         return _atomistic_min(coefficients(p, F), region.N)
-    core, core_bands, _ = strain_hessian_blocks(model, region, p, F)
+    q = strain_hessian(model, region, p, F)
     a_f = coefficients(p, F).A
-    found = _core_min_eig(core_bands.T, a_f - 1e-14 * max(1.0, abs(a_f))) if len(core) else None
+    found = _core_min_eig(q.core_bands.T, a_f - 1e-14 * max(1.0, abs(a_f))) if len(q.core) else None
     return a_f if found is None else found
 
 
@@ -364,10 +355,9 @@ def rayleigh_quotient(
     u: PeriodicField,
 ) -> float:
     """<H u, u> / ||Du||^2 at the uniform state y_F, the quadratic form of the
-    strain Hessian on Du."""
+    strain Hessian on Du; ValueError unless u lives on the grid of ``region``."""
     du = diff(u, 1)
     norm = norm_l2eps(du)
     if norm == 0.0:
         raise ValueError("Rayleigh quotient of a constant field is undefined")
-    q_du = _apply_q(strain_hessian_blocks(model, region, p, F), du.values)
-    return float(du.grid.epsilon * np.dot(du.values, q_du)) / norm**2
+    return strain_hessian(model, region, p, F).quadratic_form(du) / norm**2

@@ -85,7 +85,7 @@ def test_apply_matches_dense_product(rng, N, w):
     # at N = 4, w = 4 the offset-4 entries of rows i and i + 4 couple one pair
     grid = ChainGrid(N)
     n = grid.period_atoms
-    op = SymmetricBandedOperator(grid, rng.standard_normal((n, w + 1)))
+    op = SymmetricBandedOperator(n, np.arange(n), rng.standard_normal((n, w + 1)), np.zeros(w + 1))
     v = rng.standard_normal(n)
     dense = op.to_dense()
     np.testing.assert_allclose(op.apply(v), dense @ v, rtol=0, atol=1e-14 * np.max(np.abs(dense) @ np.abs(v)))

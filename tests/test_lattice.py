@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eamchain.cli import IDENTITY_RHS
 from eamchain.lattice import (
     ChainGrid,
     PeriodicField,
@@ -116,63 +117,25 @@ def test_norm_region_modes(rng):
         norm_region(w, [])
 
 
-def _identity_pairs(u):
-    """(lhs, rhs) sums for the four strain product identities."""
-    eps = u.grid.epsilon
-    a = diff(u, 1).values
-    b = diff(u, 2).values
-    c3 = diff(u, 3).values
-    c4 = diff(u, 4).values
-    up = lambda x, k=1: np.roll(x, -k)  # noqa: E731
-    dn = lambda x, k=1: np.roll(x, k)  # noqa: E731
-    out = []
-    out.append(
-        (
-            np.sum((a + up(a)) ** 2),
-            np.sum(2 * a**2 + 2 * up(a) ** 2 - eps**2 * up(b) ** 2),
-        )
-    )
-    out.append(
-        (
-            np.sum((a + up(a) + up(a, 2)) ** 2),
-            np.sum(
-                3 * (a**2 + up(a) ** 2 + up(a, 2) ** 2)
-                - 3 * eps**2 * (up(b) ** 2 + up(b, 2) ** 2)
-                + eps**4 * up(c3, 2) ** 2
-            ),
-        )
-    )
-    out.append(
-        (
-            np.sum(2 * (a + up(a)) * (dn(a) + a + up(a) + up(a, 2))),
-            np.sum(
-                2 * (dn(a) ** 2 + 3 * a**2 + 3 * up(a) ** 2 + up(a, 2) ** 2)
-                - 3 * eps**2 * (b**2 + 2 * up(b) ** 2 + up(b, 2) ** 2)
-                + eps**4 * (up(c3) ** 2 + up(c3, 2) ** 2)
-            ),
-        )
-    )
-    out.append(
-        (
-            np.sum((a + up(a) + up(a, 2) + up(a, 3)) ** 2),
-            np.sum(
-                4 * (a**2 + up(a) ** 2 + up(a, 2) ** 2 + up(a, 3) ** 2)
-                - eps**2 * (6 * up(b) ** 2 + 8 * up(b, 2) ** 2 + 6 * up(b, 3) ** 2)
-                + eps**4 * (4 * up(c3, 2) ** 2 + 4 * up(c3, 3) ** 2)
-                - eps**6 * up(c4, 3) ** 2
-            ),
-        )
-    )
-    return out
-
-
 def test_strain_identities(rng):
+    # explicit left-hand sums against the right-hand sides of the validate
+    # table, row i the coefficients of eps^(2j) sum (D^(j+1) u)^2
     for n in (8, 16):
         grid = ChainGrid(n)
+        eps = grid.epsilon
         for _ in range(100):
             u = random_displacement(grid, rng, strain_scale=1.0)
-            for lhs, rhs in _identity_pairs(u):
-                assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1e-30)
+            sums = np.array([eps ** (2 * j) * np.sum(diff(u, j + 1).values ** 2) for j in range(4)])
+            a = diff(u, 1).values
+            up = lambda k: np.roll(a, -k)  # noqa: E731
+            lhs = [
+                np.sum((a + up(1)) ** 2),
+                np.sum((a + up(1) + up(2)) ** 2),
+                np.sum(2 * (a + up(1)) * (up(-1) + a + up(1) + up(2))),
+                np.sum((a + up(1) + up(2) + up(3)) ** 2),
+            ]
+            for left, right in zip(lhs, IDENTITY_RHS @ sums):
+                assert abs(left - right) <= 1e-12 * max(abs(left), 1e-30)
 
 
 def test_summation_by_parts_matrix():

@@ -18,6 +18,7 @@ from eamchain.potentials import (
     validate_derivatives,
     zero_function,
 )
+from eamchain.stability import coefficients
 from eamchain.textconfig import ConfigError
 
 PROBE = np.arange(0.8, 2.41, 0.1)
@@ -76,6 +77,15 @@ def test_assumption_booleans_match_raw_signs(default_p):
     rep = check_assumptions(default_p, 1.07)
     assert rep.a2_holds == (rep.raw["minus_B"] <= 0)
     assert rep.a3_holds == (rep.raw["a3_lhs"] > 0)
+
+
+@pytest.mark.parametrize("name", ["default-eam", "reversal-eam", "pair-morse"])
+def test_a2_is_the_sign_of_the_stability_cubic_b(name):
+    # the assumption report and the stability coefficients write B out
+    # separately; a2 (-B <= 0) must test the same number bit for bit
+    p = shipped_potential(name)
+    for F in (i / 100 for i in range(80, 131)):
+        assert check_assumptions(p, F).raw["minus_B"] == -coefficients(p, F).B, F
 
 
 def test_assumption_report_deterministic(default_p):

@@ -460,6 +460,16 @@ def test_truncated_mode_quotient_decays_like_one_over_k(reversal_p):
     assert exponent == pytest.approx(1.0, abs=0.3)
 
 
+@pytest.mark.parametrize("n_field", [32, 128])
+def test_rayleigh_quotient_rejects_a_field_of_another_size(reversal_p, n_field):
+    # unchecked, at N = 128 the core rows of Q on N = 64 would miss the
+    # support of u_hat and the quotient would read A_F; at N = 32 they would
+    # index past the field
+    _, u_hat = remark_test_functions(n_field, 8)
+    with pytest.raises(ValueError, match="128 values applied to"):
+        rayleigh_quotient(ModelKind.QNL, RegionDecomposition(64, 8), reversal_p, 1.0, u_hat)
+
+
 @pytest.mark.parametrize("name", ["default-eam", "reversal-eam", "pair-morse"])
 @pytest.mark.parametrize("F", [0.95, 1.0, 1.05, 1.1])
 def test_zone_boundary_cubic_value_is_oscillatory_curvature(name, F):
