@@ -3,10 +3,11 @@
 Library layout: :mod:`~eamchain.lattice` (grids, fields, difference
 operators, norms), :mod:`~eamchain.potentials`
 (scalar potential triples and assumption checks), :mod:`~eamchain.models`
-(the three chain energies with exact gradients and Hessians),
+(the three chain energies with exact gradients and strain Hessians),
 :mod:`~eamchain.stability` (stability coefficients, spectra, critical
-strains), :mod:`~eamchain.solver` (linearized solves, consistency negative
-norms, rate studies), and :mod:`~eamchain.cli` (batch experiment driver).
+strains), :mod:`~eamchain.solver` (linearized strain solves, consistency
+negative norms, rate studies), and :mod:`~eamchain.cli` (batch experiment
+driver).
 """
 
 from .lattice import (
@@ -25,7 +26,6 @@ from .models import (
     energy,
     force_scale,
     gradient,
-    hessian,
 )
 from .potentials import (
     AssumptionReport,
@@ -42,7 +42,6 @@ from .solver import (
     NotPositiveDefiniteError,
     convergence_study,
     cosine_load,
-    solve_linearized,
 )
 from .stability import (
     BracketError,

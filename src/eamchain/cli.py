@@ -13,7 +13,7 @@ for the wall-clock runtime_ms diagnostic column of rate studies.
 Exit status: 0 all invoked checks passed, 1 a validation check failed,
 2 config error (a malformed value; the message names its flag or file:line),
 3 numerical failure (including a potential that is not finite at a strain
-analysed).
+analysed, and running out of memory).
 """
 
 from __future__ import annotations
@@ -356,6 +356,7 @@ plot 'converge.csv' using 3:4 skip 1 with linespoints title 'strain error', \\
 
 
 def _run_converge(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
+    # the tail slopes drop the coarsest N, so they need at least three N (else nan)
     records, rates = convergence_study(p, cfg.F_values[0], cosine_load, cfg.k_for, cfg.N_values)
     # the record's fields are the leading columns, in order
     rows = [[*astuple(r), rates["error_slope_all"], rates["error_slope_tail"]] for r in records]
@@ -419,7 +420,7 @@ def _run_remark44(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
         gaps.append(abs(rq_qnl - target))
     header = ["K", "N", "rq_atomistic_utilde", "rq_qnl_uhat", "qcl_lambda_min", "target", "gap"]
     # gap ~ C / K, so the decay exponent is the log-log slope against 1/K
-    exponent = fit_loglog_slope([1.0 / k for k in ks], gaps) if len(ks) > 1 else float("nan")
+    exponent = fit_loglog_slope([1.0 / k for k in ks], gaps)
     return 0, {
         "remark44.csv": _csv_text(header, rows),
         "remark44_fit.csv": _csv_text(["decay_exponent", "target"], [[exponent, target]]),
@@ -469,6 +470,9 @@ def main(argv=None) -> int:
         return 2
     except (NotPositiveDefiniteError, SolveError, BracketError) as exc:
         print(f"numerical failure in {cfg.command!r}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numerical failure in {cfg.command!r}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except NonFiniteError as exc:
         print(f"numerical failure in {cfg.command!r}: {exc} (file {cfg.potential})", file=sys.stderr)

@@ -50,8 +50,7 @@ loads are handled in :mod:`eamchain.solver`).  Gradients g satisfy
 the uniform state satisfy ``d2E(y_F)[u, w] = eps * sum_l (Hu)_l w_l``; they
 are assembled as ``H = D^T Q D`` from the strain Hessian Q.  Solves and
 stability tests work on Q alone, whose entries stay of order one at every
-N while those of H grow like N^2; :func:`hessian` builds H on request, as
-a block on every row.
+N while those of H grow like N^2, so the library builds Q only.
 Assembly is deterministic: the arrays and the order of every sum are fixed
 by ``(model, N, K)``, so repeated evaluations are bitwise identical.
 """
@@ -75,16 +74,13 @@ __all__ = [
     "energy",
     "gradient",
     "strain_hessian",
-    "hessian",
     "force_scale",
 ]
 
 HALF = 0.5
 
-#: Half-bandwidths of second variations: the exact electron density at
-#: atom l involves strains l-1 .. l+2, so strains couple over at most three
-#: bonds and displacements over at most four sites.
-SITE_HALF_BANDWIDTH = 4
+#: Half-bandwidth of strain Hessians: the exact electron density at atom l
+#: involves strains l-1 .. l+2, so strains couple over at most three bonds.
 STRAIN_HALF_BANDWIDTH = 3
 
 
@@ -187,16 +183,16 @@ def _dense_bands(bands: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class SymmetricBandedOperator:
-    """Symmetric periodic-banded operator on n site or strain values: a block
-    on the rows ``core`` plus one circulant row ``far`` that every other row
-    uses.
+    """Symmetric periodic-banded operator on n strain values, the form of
+    every strain Hessian: a block on the rows ``core`` plus one circulant row
+    ``far`` that every other row uses.
 
     ``core_bands`` is a periodic band matrix on the core entries in the
     layout of :func:`_band_apply`, and ``far[j]`` couples every other entry i
-    to entry i+j, for offsets j = 0..w (w = 4 for site, 3 for strain
-    Hessians); the lower triangle follows by symmetry.  The far row couples
-    no other row to a core row: it is diagonal unless the core is empty or
-    every row, and a block on every row is a general periodic band matrix.
+    to entry i+j, for offsets j = 0..w (w = 3 for a strain Hessian); the
+    lower triangle follows by symmetry.  The far row couples no other row to
+    a core row: it is diagonal unless the core is empty or every row, and a
+    block on every row is a general periodic band matrix.
     Acts in the l2_eps pairing: the quadratic form is ``eps * u . apply(u)``.
     One is built per stability decision, so construction copies, checks and
     freezes nothing.
@@ -227,6 +223,9 @@ class SymmetricBandedOperator:
         far_sum = abs(self.far[0]) + 2 * np.sum(np.abs(self.far[1:]))
         return float(np.max(_band_apply(np.abs(self.core_bands), np.ones(len(self.core))), initial=far_sum))
 
+    # Only tests call to_dense and _dense_bands; they stay while
+    # perfbench/layers.py wraps to_dense in its traced pass, and move to the
+    # test oracles with the benchmark rework of ROADMAP item 1.
     def to_dense(self) -> np.ndarray:
         """The circulant far row, with the core block written over it."""
         out = _dense_bands(np.broadcast_to(self.far, (self.n, len(self.far))))
@@ -388,27 +387,6 @@ def gradient(
     return PeriodicField(y.grid, (gs[:n] - np.roll(gs[:n], -1)) / y.grid.epsilon, "residual")
 
 
-def _site_bands_from_strain_bands(grid: ChainGrid, q: np.ndarray) -> np.ndarray:
-    """Convert a strain-space band matrix Q into site space: H = D^T Q D."""
-    n = grid.period_atoms
-    eps2 = grid.epsilon**2
-    w = STRAIN_HALF_BANDWIDTH
-    # band d of Q as a contiguous row; column k holds Q[(k - w) % n, (k - w) % n + d]
-    padded = np.concatenate([q[-w:], q, q[: w + 1]]).T.copy()
-
-    def qoff(shift: int, d: int) -> np.ndarray:
-        # Q[m+shift, m+shift+d] as a vector over m, allowing negative d.
-        if abs(d) > w:
-            return 0.0
-        start = w + shift + min(d, 0)
-        return padded[abs(d), start : start + n]
-
-    bands = np.empty((SITE_HALF_BANDWIDTH + 1, n))
-    for j in range(SITE_HALF_BANDWIDTH + 1):
-        bands[j] = (qoff(0, j) - qoff(0, j + 1) - qoff(1, j - 1) + qoff(1, j)) / eps2
-    return bands.T
-
-
 #: Bond offsets of every template relative to its atom.
 _OFFSETS = (-1, 0, 1, 2)
 
@@ -509,23 +487,6 @@ def strain_hessian(
     offsets, basis = _core_basis(model, K)
     bands = (basis @ scalars).reshape(-1, STRAIN_HALF_BANDWIDTH + 1)
     return SymmetricBandedOperator(2 * region.N, region.N - K - 2 + offsets, bands[:-1], bands[-1])
-
-
-def hessian(
-    model: ModelKind,
-    region: RegionDecomposition,
-    p: EAMPotential,
-    F: float,
-) -> SymmetricBandedOperator:
-    """Site-space second variation D^T Q D at y_F of :func:`strain_hessian`;
-    it annihilates constants and its rows are circulant deep inside the
-    atomistic and continuum regions."""
-    q = strain_hessian(model, region, p, F)
-    q_bands = np.empty((q.n, len(q.far)))
-    q_bands[:] = q.far
-    q_bands[q.core] = q.core_bands
-    bands = _site_bands_from_strain_bands(ChainGrid(region.N), q_bands)
-    return SymmetricBandedOperator(q.n, np.arange(q.n), bands, np.zeros(SITE_HALF_BANDWIDTH + 1))
 
 
 def force_scale(p: EAMPotential, F: float, grid: ChainGrid) -> float:

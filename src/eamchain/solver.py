@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import ChainGrid, PeriodicField, diff, displacement_from_strain, norm_l2eps, norm_region
+from .lattice import ChainGrid, PeriodicField, diff, norm_l2eps, norm_region
 from .models import ModelKind, RegionDecomposition, strain_hessian
 from .potentials import EAMPotential
 from .stability import coefficients, lambda_min, strain_solver
@@ -38,7 +38,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "SolveError",
     "cosine_load",
-    "solve_linearized",
     "consistency_point",
     "convergence_study",
     "fixed_k_rule",
@@ -147,20 +146,6 @@ def _strain_solution(
     return r
 
 
-def solve_linearized(
-    model: ModelKind,
-    region: RegionDecomposition,
-    p: EAMPotential,
-    F: float,
-    load: DeadLoad,
-) -> PeriodicField:
-    """Zero-mean displacement u with <H u, w> = <f, w> for all zero-mean w,
-    integrated from the strain solve; raises NotPositiveDefiniteError when
-    the model is unstable at (F, N) and SolveError when the strain solve
-    fails its backward-error check."""
-    return displacement_from_strain(load.field.grid, _strain_solution(model, region, p, F, load))
-
-
 def continuum_norm_sites(region: RegionDecomposition) -> np.ndarray:
     """Sites {-N+1..-(K+1)} u {K+1..N} entering the consistency bound."""
     N, K = region.N, region.K
@@ -184,10 +169,12 @@ def power_k_rule(theta: float) -> Callable[[int], int]:
 
 
 def fit_loglog_slope(eps_values: Sequence[float], errors: Sequence[float]) -> float:
-    """Least-squares slope of log(error) against log(eps)."""
-    x = np.log(np.asarray(eps_values, dtype=float))
-    y = np.log(np.asarray(errors, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
+    """Least-squares slope of log(error) against log(eps); nan for fewer than
+    two points or a value that is not positive."""
+    x, y = np.asarray(eps_values, dtype=float), np.asarray(errors, dtype=float)
+    if len(x) < 2 or not (np.all(x > 0) and np.all(y > 0)):
+        return float("nan")
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
 def consistency_point(
@@ -258,14 +245,10 @@ def convergence_study(
     eps = [r.epsilon for r in records]
     errs = [r.error_H1 for r in records]
     negs = [r.consistency_negnorm for r in records]
-
-    def slope(x, y):
-        return fit_loglog_slope(x, y) if len(x) >= 2 else float("nan")
-
     rates = {
-        "error_slope_all": slope(eps, errs),
-        "error_slope_tail": slope(eps[1:], errs[1:]),
-        "negnorm_slope_all": slope(eps, negs),
-        "negnorm_slope_tail": slope(eps[1:], negs[1:]),
+        "error_slope_all": fit_loglog_slope(eps, errs),
+        "error_slope_tail": fit_loglog_slope(eps[1:], errs[1:]),
+        "negnorm_slope_all": fit_loglog_slope(eps, negs),
+        "negnorm_slope_tail": fit_loglog_slope(eps[1:], negs[1:]),
     }
     return records, rates

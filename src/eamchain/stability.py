@@ -31,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .lattice import ChainGrid, PeriodicField, diff, norm_l2eps
-from .models import ModelKind, RegionDecomposition, SymmetricBandedOperator, _band_apply, strain_hessian
+from .models import ModelKind, RegionDecomposition, _band_apply, strain_hessian
 from .potentials import EAMPotential, _uniform_derivatives, require_finite
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "critical_strain",
     "remark_test_functions",
     "rayleigh_quotient",
-    "strain_metric_operator",
 ]
 
 
@@ -180,13 +179,6 @@ def fourier_spectrum(p: EAMPotential, F: float, N: int) -> SpectrumReport:
         min_eigenvalue=float(lam[idx]),
         min_mode=int(modes[idx]),
     )
-
-
-def strain_metric_operator(grid: ChainGrid) -> SymmetricBandedOperator:
-    """Operator L with <Lu, u> = ||Du||^2 in the l2_eps pairing: the far row
-    ``[2, -1, 0, 0, 0] / eps^2`` on every row."""
-    far = np.array([2.0, -1.0, 0.0, 0.0, 0.0]) / grid.epsilon**2
-    return SymmetricBandedOperator(grid.period_atoms, np.arange(0), np.zeros((0, 5)), far)
 
 
 def _band_solver(ab: np.ndarray):

@@ -3,7 +3,12 @@
 Everything here is deliberately written from the defining formulas, not by
 calling the code paths under test: finite differences of energies, direct
 summations, hand-assembled coupled pair energies, and dense linear algebra
-on explicitly built matrices.
+on explicitly built matrices.  The exceptions are the site-space views
+``hessian``, ``strain_metric_operator`` and ``solve_linearized``: the
+library works in strain space only, so they are built from
+``strain_hessian`` and ``_strain_solution``, and
+``test_assembly::test_small_chain_hessians_match_loop_oracle`` checks
+``hessian`` against ``D^T Q_loop D``.
 """
 
 from functools import lru_cache
@@ -11,8 +16,17 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from eamchain.lattice import ChainGrid, PeriodicField, diff, norm_l2eps
-from eamchain.models import Deformation, ModelKind, RegionDecomposition, energy, strain_hessian
+from eamchain.lattice import ChainGrid, PeriodicField, diff, displacement_from_strain, norm_l2eps
+from eamchain.models import (
+    Deformation,
+    ModelKind,
+    RegionDecomposition,
+    SymmetricBandedOperator,
+    energy,
+    strain_hessian,
+)
+from eamchain.potentials import EAMPotential
+from eamchain.solver import DeadLoad, _strain_solution
 
 HALF = 0.5
 STRAIN_HALF_BANDWIDTH = 3
@@ -189,6 +203,76 @@ def loop_strain_hessian_bands(model, region, p, r: np.ndarray) -> np.ndarray:
                     for k, ck in citems[i + 1 :]:
                         add(m, k, val * cm * ck)
     return q
+
+
+# --------------------------------------------------------------------------
+# Site-space views of the strain-space library: the site Hessian
+# H = D^T Q D, the strain metric L with <Lu, u> = ||Du||^2 and the
+# displacement solve, as the dense eigenvalue, negative-norm and solve
+# oracles use them.
+# --------------------------------------------------------------------------
+
+#: Displacements couple over at most four sites, one more than strains.
+SITE_HALF_BANDWIDTH = 4
+
+
+def _site_bands_from_strain_bands(grid: ChainGrid, q: np.ndarray) -> np.ndarray:
+    """Convert a strain-space band matrix Q into site space: H = D^T Q D."""
+    n = grid.period_atoms
+    eps2 = grid.epsilon**2
+    w = STRAIN_HALF_BANDWIDTH
+    # band d of Q as a contiguous row; column k holds Q[(k - w) % n, (k - w) % n + d]
+    padded = np.concatenate([q[-w:], q, q[: w + 1]]).T.copy()
+
+    def qoff(shift: int, d: int) -> np.ndarray:
+        # Q[m+shift, m+shift+d] as a vector over m, allowing negative d.
+        if abs(d) > w:
+            return 0.0
+        start = w + shift + min(d, 0)
+        return padded[abs(d), start : start + n]
+
+    bands = np.empty((SITE_HALF_BANDWIDTH + 1, n))
+    for j in range(SITE_HALF_BANDWIDTH + 1):
+        bands[j] = (qoff(0, j) - qoff(0, j + 1) - qoff(1, j - 1) + qoff(1, j)) / eps2
+    return bands.T
+
+
+def hessian(
+    model: ModelKind,
+    region: RegionDecomposition,
+    p: EAMPotential,
+    F: float,
+) -> SymmetricBandedOperator:
+    """Site-space second variation D^T Q D at y_F of :func:`strain_hessian`;
+    it annihilates constants and its rows are circulant deep inside the
+    atomistic and continuum regions."""
+    q = strain_hessian(model, region, p, F)
+    q_bands = np.empty((q.n, len(q.far)))
+    q_bands[:] = q.far
+    q_bands[q.core] = q.core_bands
+    bands = _site_bands_from_strain_bands(ChainGrid(region.N), q_bands)
+    return SymmetricBandedOperator(q.n, np.arange(q.n), bands, np.zeros(SITE_HALF_BANDWIDTH + 1))
+
+
+def strain_metric_operator(grid: ChainGrid) -> SymmetricBandedOperator:
+    """Operator L with <Lu, u> = ||Du||^2 in the l2_eps pairing: the far row
+    ``[2, -1, 0, 0, 0] / eps^2`` on every row."""
+    far = np.array([2.0, -1.0, 0.0, 0.0, 0.0]) / grid.epsilon**2
+    return SymmetricBandedOperator(grid.period_atoms, np.arange(0), np.zeros((0, 5)), far)
+
+
+def solve_linearized(
+    model: ModelKind,
+    region: RegionDecomposition,
+    p: EAMPotential,
+    F: float,
+    load: DeadLoad,
+) -> PeriodicField:
+    """Zero-mean displacement u with <H u, w> = <f, w> for all zero-mean w,
+    integrated from the strain solve; raises NotPositiveDefiniteError when
+    the model is unstable at (F, N) and SolveError when the strain solve
+    fails its backward-error check."""
+    return displacement_from_strain(load.field.grid, _strain_solution(model, region, p, F, load))
 
 
 @lru_cache(maxsize=32)

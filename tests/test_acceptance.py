@@ -19,7 +19,6 @@ from eamchain.models import (
     RegionDecomposition,
     force_scale,
     gradient,
-    hessian,
 )
 from eamchain.solver import convergence_study, cosine_load, fixed_k_rule
 from eamchain.stability import (
@@ -29,11 +28,16 @@ from eamchain.stability import (
     lambda_min,
     rayleigh_quotient,
     remark_test_functions,
-    strain_metric_operator,
 )
 
 from conftest import random_displacement
-from oracles import dense_generalized_eigenvalues, fd_directional_derivative, loglog_slope
+from oracles import (
+    dense_generalized_eigenvalues,
+    fd_directional_derivative,
+    hessian,
+    loglog_slope,
+    strain_metric_operator,
+)
 
 
 def report(num, name, ok, detail, dt, limit):

@@ -19,14 +19,13 @@ from eamchain.models import (
     energy,
     force_scale,
     gradient,
-    hessian,
     strain_hessian,
 )
 from eamchain.potentials import EAMPotential, ScalarFunctionC2, shipped_potential
 from eamchain.stability import coefficients
 
 from conftest import random_displacement
-from oracles import loop_energy, loop_strain_gradient, loop_strain_hessian_bands
+from oracles import hessian, loop_energy, loop_strain_gradient, loop_strain_hessian_bands
 
 POTENTIALS = {name: shipped_potential(name) for name in ("default-eam", "reversal-eam", "pair-morse")}
 

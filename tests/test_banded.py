@@ -7,17 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eamchain.lattice import ChainGrid
-from eamchain.models import ModelKind, RegionDecomposition, SymmetricBandedOperator, hessian
+from eamchain.models import ModelKind, RegionDecomposition, SymmetricBandedOperator
 from eamchain.potentials import shipped_potential
-from eamchain.solver import NotPositiveDefiniteError, cosine_load, solve_linearized
+from eamchain.solver import NotPositiveDefiniteError, cosine_load
 from eamchain.stability import (
     coefficients,
     lambda_min,
-    strain_metric_operator,
     strain_solver,
 )
 
-from oracles import dense_core_min_eig, dense_generalized_eigenvalues, zero_mean_basis
+from oracles import (
+    dense_core_min_eig,
+    dense_generalized_eigenvalues,
+    hessian,
+    solve_linearized,
+    strain_metric_operator,
+    zero_mean_basis,
+)
 
 POTENTIALS = {name: shipped_potential(name) for name in ("default-eam", "reversal-eam", "pair-morse")}
 

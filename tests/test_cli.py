@@ -355,3 +355,29 @@ def test_a_failed_command_writes_no_file(tmp_path, capsys):
     assert run_cli(*args, "--out-dir", str(out_dir)) == 3
     assert "F=0.5" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "message,shown",
+    [("Unable to allocate 1.46 TiB for an array", "Unable to allocate 1.46 TiB for an array"), ("", "out of memory")],
+    ids=["numpy-message", "no-message"],
+)
+def test_out_of_memory_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch, message, shown):
+    # a runner that raises stands in for a huge allocation, so nothing large is allocated
+    def exhausted(cfg, p):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli.RUNNERS, "spectrum", exhausted)
+    out_dir = tmp_path / "out"
+    assert run_cli("--command", "spectrum", "--potential", POT, "--N", "16", "--out-dir", str(out_dir)) == 3
+    # one line on stderr, no traceback
+    assert capsys.readouterr().err == f"numerical failure in 'spectrum': {shown}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_remark44_with_vanishing_gaps_fits_nan_without_a_warning(tmp_path):
+    # at F = 1e300 every Rayleigh quotient and the target are 0, so every gap is 0
+    args = ["--command", "remark44", "--potential", POT, "--F", "1e300", "--N", "16,32"]
+    assert run_cli(*args, "--out-dir", str(tmp_path)) == 0
+    assert (tmp_path / "remark44_fit.csv").read_text() == "decay_exponent,target\nnan,0.000000000000000e+00\n"

@@ -11,7 +11,6 @@ from eamchain.models import (
     energy,
     force_scale,
     gradient,
-    hessian,
 )
 from eamchain.potentials import (
     EAMPotential,
@@ -23,6 +22,7 @@ from eamchain.potentials import (
 from conftest import random_displacement
 from oracles import (
     fd_directional_derivative,
+    hessian,
     qnl_pair_energy_by_hand,
 )
 

@@ -13,7 +13,7 @@ from eamchain.lattice import (
     norm_l2eps,
     norm_region,
 )
-from eamchain.models import ModelKind, RegionDecomposition, hessian
+from eamchain.models import ModelKind, RegionDecomposition
 from eamchain.potentials import shipped_potential
 from eamchain.solver import (
     DeadLoad,
@@ -23,15 +23,23 @@ from eamchain.solver import (
     continuum_norm_sites,
     convergence_study,
     cosine_load,
+    fit_loglog_slope,
     fixed_k_rule,
     interface_window_sites,
     power_k_rule,
-    solve_linearized,
 )
-from eamchain.stability import coefficients, lambda_min, strain_metric_operator, strain_solver
+from eamchain.stability import coefficients, lambda_min, strain_solver
 
 from conftest import random_displacement
-from oracles import consistency_residual, dual_norm_by_maximization, loglog_slope, negative_norm
+from oracles import (
+    consistency_residual,
+    dual_norm_by_maximization,
+    hessian,
+    loglog_slope,
+    negative_norm,
+    solve_linearized,
+    strain_metric_operator,
+)
 
 POTENTIALS = {name: shipped_potential(name) for name in ("default-eam", "reversal-eam", "pair-morse")}
 
@@ -285,6 +293,17 @@ def test_pair_potential_study_rate(pair_p):
         pair_p, 1.0, cosine_load, fixed_k_rule(8), [64, 128, 256, 512]
     )
     assert rates["error_slope_tail"] >= 1.4
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "eps,errors",
+    [([], []), ([0.5], [1.0]), ([0.5, 0.25], [1.0, 0.0]), ([0.5, 0.25], [1.0, -1.0]),
+     ([0.5, 0.25], [1.0, np.nan]), ([0.5, 0.0], [1.0, 0.5])],
+    ids=["no-point", "one-point", "zero-error", "negative-error", "nan-error", "zero-eps"],
+)
+def test_loglog_slope_of_degenerate_input_is_nan_without_a_warning(eps, errors):
+    assert np.isnan(fit_loglog_slope(eps, errors))
 
 
 def test_k_rules():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eamchain.lattice import ChainGrid, diff, norm_l2eps
-from eamchain.models import Deformation, ModelKind, RegionDecomposition, hessian, strain_hessian
+from eamchain.models import Deformation, ModelKind, RegionDecomposition, strain_hessian
 from eamchain.potentials import (
     EAMPotential,
     NonFiniteError,
@@ -29,11 +29,16 @@ from eamchain.stability import (
     lambda_min,
     rayleigh_quotient,
     remark_test_functions,
-    strain_metric_operator,
 )
 
 from conftest import random_displacement
-from oracles import dense_generalized_eigenvalues, loglog_slope, loop_atomistic_min
+from oracles import (
+    dense_generalized_eigenvalues,
+    hessian,
+    loglog_slope,
+    loop_atomistic_min,
+    strain_metric_operator,
+)
 
 # Frozen output of scripts/symbolic_coefficients.py: the stability cubic of
 # the default material at F = 1, derived symbolically from the per-atom
