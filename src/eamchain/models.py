@@ -35,10 +35,10 @@ G' rho''(2F), G'' rho'(F)^2, G'' rho'(F) rho'(2F) and G'' rho'(2F)^2.  A
 strain Hessian row is fixed by the region classes of the atoms that reach
 it.  Continuum atoms couple no two bonds, so a coupled strain Hessian is
 a core block on the 2K+4 bonds around the atomistic region plus A_F times
-the identity, and the atomistic one is circulant.  The region classes
-around the core are the same on every grid, so a basis of exact small
-rationals, compiled once per ``(model, K)``, maps the seven scalars to the
-bands of the core rows and of one far row by one matrix-vector product;
+the identity, and the atomistic one is circulant.  Only three core rows
+at each end see a non-atomistic atom, so a basis of exact small rationals,
+compiled per model at K <= 2 only, maps the seven scalars to the bands of
+those rows, of the atomistic row repeated between them and of one far row;
 every strain Hessian is those bands as a :class:`SymmetricBandedOperator`,
 the one banded form, and it and the stability decisions built on it give
 the same bits at every N.  The scalars come from derivatives of the
@@ -58,13 +58,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import ChainGrid, PeriodicField, diff
-from .potentials import EAMPotential, _uniform_derivatives, require_finite
+from .potentials import EAMPotential, _uniform_derivatives, mean_field_density, require_finite
 
 __all__ = [
     "ModelKind",
@@ -396,10 +396,10 @@ _OFFSETS = (-1, 0, 1, 2)
 _N_SCALARS = 7
 
 
-@lru_cache(maxsize=64)
-def _core_basis(kind: ModelKind, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (core offsets, basis): the strain Hessian rows of one model
-    as linear maps of the seven scalars of :func:`_uniform_scalars`.
+@cache
+def _core_basis(kind: ModelKind, K: int) -> np.ndarray:
+    """Read-only basis of the strain Hessian rows of one model as linear maps
+    of the seven scalars of :func:`_uniform_scalars`, compiled at K <= 2.
 
     An atom's second derivatives by its bonds ``_OFFSETS`` are one 4 x 4
     element matrix per scalar, exact small rationals summed over its
@@ -409,10 +409,11 @@ def _core_basis(kind: ModelKind, K: int) -> tuple[np.ndarray, np.ndarray]:
     (a, a + d) of atom k - a into band d, so its bands depend only on the
     region classes of the atoms k - a.  The core, rows N-K-2+offset (bonds
     -K-1 .. K+2, never wrapping as K < N-2), is empty for QCL and the
-    atomistic chain; every other row is the far row.  Those classes are the same on every grid N >= K+3, so
-    the smallest one gives them: ``basis`` holds the four bands of each core
-    row and then of the far row, band d of row j being
-    ``basis[4 j + d] @ scalars``.  QCL ignores K, as in :func:`_region_classes`.
+    atomistic chain, given K = -2; every other row is the far row.  Those
+    classes are the same on every grid N >= K+3, so the smallest one gives
+    them: the basis holds the four bands of each core row and then of the
+    far row, band d of row j being ``basis[4 j + d] @ scalars``.  Every atom
+    reaching core rows 3 .. 2K is atomistic, so K = 2 gives every larger K.
     """
     N = max(K, 0) + 3
     classes = _region_classes(kind, N, K)
@@ -432,20 +433,16 @@ def _core_basis(kind: ModelKind, K: int) -> tuple[np.ndarray, np.ndarray]:
             element[i, 4] += w * np.outer(u, u)
             element[i, 5] += w * (np.outer(u, v) + np.outer(v, u))
             element[i, 6] += w * np.outer(v, v)
-    class_of = np.empty(2 * N, dtype=np.intp)
-    for i, (_, start, length) in enumerate(classes):
-        class_of[start : start + length] = i
-    offsets = np.arange(2 * K + 4 if kind == ModelKind.QNL else 0)
-    rows = N - K - 2 + np.arange(len(offsets) + 1)
+    class_of = np.repeat(np.arange(len(classes)), [length for _, _, length in classes])  # runs are in array order
+    rows = N - K - 2 + np.arange(2 * K + 5)
     atoms = class_of[(rows[:, None] - np.array(_OFFSETS)) % (2 * N)]
     basis = np.zeros((len(rows), STRAIN_HALF_BANDWIDTH + 1, _N_SCALARS))
     for d in range(STRAIN_HALF_BANDWIDTH + 1):
         for i in range(m - d):
             basis[:, d] += element[atoms[:, i], :, i, i + d]
     basis = basis.reshape(-1, _N_SCALARS)
-    for a in (offsets, basis):
-        a.flags.writeable = False
-    return offsets, basis
+    basis.flags.writeable = False
+    return basis
 
 
 def _uniform_scalars(p: EAMPotential, F: float) -> np.ndarray:
@@ -471,22 +468,25 @@ def strain_hessian(
     """Second variation at y_F in strain space: Q with H = D^T Q D, so
     ``d2E(y_F)[u, w] = eps * sum_l (Q Du)_l (Dw)_l``.
 
-    Only y_F Hessians are built (the analysis point), as a compiled basis
-    (:func:`_core_basis`) times seven potential scalars, so neither the cost
-    nor the values depend on N; the atomistic and QCL models read just the
-    size N from ``region``.  The core is the 2K+4 rows around the QNL
-    atomistic region (none for the other models), with ``core_bands.T`` its
-    block in LAPACK lower band storage; every other row is the far row: A_F I
-    for a coupled model (``far[0]`` is A_F to rounding), the circulant row
-    for the atomistic chain.  No model has a ghost force at a uniform state,
-    so ``Q 1 = A_F 1`` (A_F the continuum modulus).  Raises NonFiniteError
-    if a scalar is not finite.
+    Only y_F Hessians are built (the analysis point), from the basis of
+    :func:`_core_basis` at min(K, 2) times seven potential scalars: its
+    first and last h core rows (h = 4 at K >= 2), with row h, the atomistic
+    row, repeated in between, so the values do not depend on N; the
+    atomistic and QCL models read just the size N from ``region``.  The core
+    is the 2K+4 rows around the QNL atomistic region (none for the other
+    models), with ``core_bands.T`` its block in LAPACK lower band storage;
+    every other row is the far row: A_F I for a coupled model (``far[0]`` is
+    A_F to rounding), the circulant row for the atomistic chain.  No model
+    has a ghost force at a uniform state, so ``Q 1 = A_F 1`` (A_F the
+    continuum modulus).  Raises NonFiniteError if a scalar is not finite.
     """
     scalars = _uniform_scalars(p, F)
-    K = region.K if model == ModelKind.QNL else -1
-    offsets, basis = _core_basis(model, K)
-    bands = (basis @ scalars).reshape(-1, STRAIN_HALF_BANDWIDTH + 1)
-    return SymmetricBandedOperator(2 * region.N, region.N - K - 2 + offsets, bands[:-1], bands[-1])
+    K = region.K if model == ModelKind.QNL else -2  # a core of 2K+4 = 0 rows
+    bands = (_core_basis(model, min(K, 2)) @ scalars).reshape(-1, STRAIN_HALF_BANDWIDTH + 1)
+    m, h = 2 * K + 4, (len(bands) - 1) // 2
+    core_bands = np.empty((m, STRAIN_HALF_BANDWIDTH + 1))
+    core_bands[:h], core_bands[h : m - h], core_bands[m - h :] = bands[:h], bands[h], bands[h:-1]
+    return SymmetricBandedOperator(2 * region.N, np.arange(region.N - K - 2, region.N + K + 2), core_bands, bands[-1])
 
 
 def force_scale(p: EAMPotential, F: float, grid: ChainGrid) -> float:
@@ -495,7 +495,7 @@ def force_scale(p: EAMPotential, F: float, grid: ChainGrid) -> float:
     Used to normalize ghost-force checks: each residual entry is a signed
     combination of first-derivative terms of this size divided by eps.
     """
-    g1 = abs(p.embedding.d1(2 * p.density(F) + 2 * p.density(2 * F)))
+    g1 = abs(p.embedding.d1(mean_field_density(p, F)))
     per_bond = (
         abs(p.pair.d1(F))
         + 2 * abs(p.pair.d1(2 * F))

@@ -303,7 +303,7 @@ def validate_derivatives(
 
     for fn in (p.pair, p.density):
         worst = max(worst, _pair_dev(fn.eval, fn.d1, probe), _pair_dev(fn.d1, fn.d2, probe))
-    dens_probe = np.array([2 * p.density(r) + 2 * p.density(2 * r) for r in probe])
+    dens_probe = np.array([mean_field_density(p, r) for r in probe])
     worst = max(
         worst,
         _pair_dev(p.embedding.eval, p.embedding.d1, dens_probe),

@@ -172,6 +172,21 @@ def test_small_chain_hessians_match_loop_oracle(chain):
 
 
 @pytest.mark.parametrize("name", sorted(POTENTIALS))
+def test_large_k_hessians_match_loop_oracle(name):
+    # cores stretched from the basis compiled at K = 2, on the smallest grid
+    # N = K + 3, where the one continuum atom is reached from both ends of
+    # the core, and on N = 4K + 8
+    p = POTENTIALS[name]
+    for K in (3, 64, 256):
+        for n in (K + 3, 4 * K + 8):
+            region = RegionDecomposition(n, K)
+            for model in ModelKind:
+                q_loop = loop_strain_hessian_bands(model, region, p, np.full(2 * n, 1.05))
+                q_op = strain_hessian(model, region, p, 1.05)
+                assert np.max(np.abs(full_bands(q_op) - q_loop)) <= 1e-14 * q_op.norm_inf()
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
 def test_strain_hessian_is_core_block_plus_continuum_diagonal(name):
     # the core is one cyclic run of 2K+4 rows for QNL and none for QCL;
     # every other row is diagonal, bitwise A_F, and the core bands as a
@@ -217,7 +232,9 @@ def test_block_apply_and_norm_match_the_full_band_operator(rng, name):
 
 
 def test_cached_layouts_are_read_only():
-    for a in _core_basis(ModelKind.QNL, 4):
-        assert not a.flags.writeable
+    # every layout strain_hessian compiles: QNL at K <= 2, the others with no core
+    for model, K in [(ModelKind.QNL, k) for k in range(3)] + [(ModelKind.ATOMISTIC, -2), (ModelKind.QCL, -2)]:
+        basis = _core_basis(model, K)
+        assert not basis.flags.writeable
         with pytest.raises(ValueError):
-            a[0] = 0
+            basis[0] = 0

@@ -2,8 +2,9 @@
 deformed-state evaluators.  They count work, not seconds: banded Cholesky
 factorizations at N = 2^12, each of only the 2K+4 core rows of the strain
 Hessian; evaluations of the potential, once per strain, and at a deformed
-state once per distinct argument; layouts compiled, none per new N; and the
-modes of the stability cubic an atomistic decision evaluates, a few at any N."""
+state once per distinct argument; layouts compiled, none per new N and at
+most three per model over every K; and the modes of the stability cubic an
+atomistic decision evaluates, a few at any N."""
 
 import math
 from dataclasses import dataclass
@@ -164,6 +165,28 @@ def test_coupled_decision_at_a_new_n_compiles_no_layout(default_p):
     lambda_min(ModelKind.QNL, region, default_p, 1.0)
     strain_hessian(ModelKind.QNL, region, default_p, 1.0)
     assert models._core_basis.cache_info().misses == misses
+
+
+def test_strain_hessians_at_every_k_compile_one_small_layout_per_model(default_p, monkeypatch):
+    # the QNL core basis is compiled at K = 0, 1 and 2 and stretched to every
+    # larger K, so the compiled state does not depend on K
+    compiled = {}
+    basis = models._core_basis
+
+    def recorded(kind, k):
+        layout = basis(kind, k)
+        compiled[kind, k] = len(layout) // (models.STRAIN_HALF_BANDWIDTH + 1)
+        return layout
+
+    monkeypatch.setattr(models, "_core_basis", recorded)
+    for k in (0, 1, 2, 3, 64, 4096, 75000):
+        region = RegionDecomposition(4 * k + 8, k)
+        for model in ModelKind:
+            q = strain_hessian(model, region, default_p, 1.0)
+            assert len(q.core) == (2 * k + 4 if model == ModelKind.QNL else 0)
+    for model, most in ((ModelKind.QNL, 3), (ModelKind.ATOMISTIC, 1), (ModelKind.QCL, 1)):
+        assert 1 <= sum(kind == model for kind, _ in compiled) <= most
+    assert max(compiled.values()) <= 9  # core rows and the far row
 
 
 def test_atomistic_decision_evaluates_few_modes(default_p, reversal_p, monkeypatch):
