@@ -13,7 +13,7 @@ for the wall-clock runtime_ms diagnostic column of rate studies.
 Exit status: 0 all invoked checks passed, 1 a validation check failed,
 2 config error (a malformed value; the message names its flag or file:line),
 3 numerical failure (including a potential that is not finite at a strain
-analysed, and running out of memory).
+analysed or whose derivatives there are all 0, and running out of memory).
 """
 
 from __future__ import annotations
@@ -360,23 +360,8 @@ def _run_converge(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
     records, rates = convergence_study(p, cfg.F_values[0], cosine_load, cfg.k_for, cfg.N_values)
     # the record's fields are the leading columns, in order
     rows = [[*astuple(r), rates["error_slope_all"], rates["error_slope_tail"]] for r in records]
-    table = _csv_text(
-        [
-            "N",
-            "K",
-            "epsilon",
-            "error_H1",
-            "negnorm",
-            "D3_C",
-            "D2_I_max",
-            "runtime_ms",
-            "A_F",
-            "lambda_min_qnl",
-            "fit_slope_all",
-            "fit_slope_tail",
-        ],
-        rows,
-    )
+    header = ["N", "K", "epsilon", "error_H1", "negnorm", "D3_C", "D2_I_max", "runtime_ms", "A_F", "lambda_min_qnl"]
+    table = _csv_text(header + ["fit_slope_all", "fit_slope_tail"], rows)
     print(
         f"error slope (tail) {rates['error_slope_tail']:.3f}, "
         f"negnorm slope (tail) {rates['negnorm_slope_tail']:.3f}"

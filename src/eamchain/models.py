@@ -64,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import ChainGrid, PeriodicField, diff
-from .potentials import EAMPotential, _uniform_derivatives, mean_field_density, require_finite
+from .potentials import EAMPotential, NonFiniteError, _uniform_derivatives, mean_field_density, require_finite
 
 __all__ = [
     "ModelKind",
@@ -449,14 +449,11 @@ def _uniform_scalars(p: EAMPotential, F: float) -> np.ndarray:
     """phi''(F), phi''(2F), G' rho''(F), G' rho''(2F), G'' rho'(F)^2,
     G'' rho'(F) rho'(2F) and G'' rho'(2F)^2 at y_F, where every group of
     every template has the density 2 rho(F) + 2 rho(2F).  Raises ValueError
-    unless 0 < F < inf and NonFiniteError if a scalar is not finite."""
-    if not 0 < F < np.inf:
-        raise ValueError(f"deformation gradient must be finite and positive, got F={F}")
+    unless 0 < F < inf, NonFiniteError if they are not finite or all 0."""
     phi2, phi2_2, r1, r1_2, r2, r2_2, g1, g2 = _uniform_derivatives(p, F)
-    with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
-        scalars = np.array([phi2, phi2_2, g1 * r2, g1 * r2_2, g2 * r1 * r1, g2 * r1 * r1_2, g2 * r1_2 * r1_2], dtype=float)
+    scalars = (phi2, phi2_2, g1 * r2, g1 * r2_2, g2 * r1 * r1, g2 * r1 * r1_2, g2 * r1_2 * r1_2)
     require_finite(p, F, "strain Hessian", scalars)
-    return scalars
+    return np.array(scalars)
 
 
 def strain_hessian(
@@ -478,7 +475,7 @@ def strain_hessian(
     every other row is the far row: A_F I for a coupled model (``far[0]`` is
     A_F to rounding), the circulant row for the atomistic chain.  No model
     has a ghost force at a uniform state, so ``Q 1 = A_F 1`` (A_F the
-    continuum modulus).  Raises NonFiniteError if a scalar is not finite.
+    continuum modulus).  NonFiniteError if the scalars are not finite or all 0.
     """
     scalars = _uniform_scalars(p, F)
     K = region.K if model == ModelKind.QNL else -2  # a core of 2K+4 = 0 rows
@@ -494,6 +491,7 @@ def force_scale(p: EAMPotential, F: float, grid: ChainGrid) -> float:
 
     Used to normalize ghost-force checks: each residual entry is a signed
     combination of first-derivative terms of this size divided by eps.
+    NonFiniteError if every such term is 0: no force could fail the check.
     """
     g1 = abs(p.embedding.d1(mean_field_density(p, F)))
     per_bond = (
@@ -501,4 +499,6 @@ def force_scale(p: EAMPotential, F: float, grid: ChainGrid) -> float:
         + 2 * abs(p.pair.d1(2 * F))
         + 2 * g1 * (abs(p.density.d1(F)) + 2 * abs(p.density.d1(2 * F)))
     )
+    if per_bond == 0:  # not a non-finite scale: validate reports that as a FAIL
+        raise NonFiniteError(f"potential {p.name or '<unnamed>'!r} gives first derivatives that are all 0 at F={F}")
     return max(per_bond, 1.0) / grid.epsilon

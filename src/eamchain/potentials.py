@@ -63,15 +63,17 @@ STABLE_RANGES = {
 
 class NonFiniteError(ArithmeticError):
     """A potential's derivatives at the analysed uniform strain are not
-    finite (e.g. an exponential overflows), so no result there means
-    anything."""
+    finite (e.g. an exponential overflows) or all vanish (they underflow),
+    so no result there means anything."""
 
 
-def require_finite(p: "EAMPotential", F: float, what: str, values) -> None:
+def require_finite(p: "EAMPotential", F: float, what: str, values: tuple) -> None:
     """Raise NonFiniteError, naming the potential and F, unless every one of
-    the numbers ``values`` is finite."""
+    the floats ``values`` is finite and not every one is 0."""
     if not all(map(math.isfinite, values)):
         raise NonFiniteError(f"potential {p.name or '<unnamed>'!r} gives a non-finite {what} at F={F}")
+    if not any(values):
+        raise NonFiniteError(f"potential {p.name or '<unnamed>'!r} gives {what} values that are all 0 at F={F}")
 
 
 @dataclass(frozen=True)
@@ -205,9 +207,12 @@ def _uniform_derivatives(p: EAMPotential, F: float) -> tuple:
     """phi''(F), phi''(2F), rho'(F), rho'(2F), rho''(F), rho''(2F), G'(rho_bar)
     and G''(rho_bar) at the uniform strain F, rho_bar = 2 rho(F) + 2 rho(2F):
     every uniform-state stability quantity is built from these.  Memoized
-    per potential and strain.  The values may be non-finite; each caller
-    checks what it derives from them, so the check repeats on every call.
-    """
+    per potential and strain as Python floats, whose arithmetic does not
+    warn.  Raises ValueError unless 0 < F < inf.  The values may be
+    non-finite; each caller checks what it derives from them, so the check
+    repeats on every call."""
+    if not 0 < F < math.inf:
+        raise ValueError(f"strain must be finite and positive, got F={F}")
     F = float(F)
     memo = p._uniform
     values = memo.get(F)
@@ -226,7 +231,7 @@ def _uniform_derivatives(p: EAMPotential, F: float) -> tuple:
             )
         if len(memo) >= _UNIFORM_MEMO_SIZE:
             memo.clear()
-        memo[F] = values
+        memo[F] = values = tuple(map(float, values))
     return values
 
 
@@ -238,9 +243,8 @@ def check_assumptions(p: EAMPotential, F: float) -> AssumptionReport:
     a3 is the strict inequality under which the local model out-stabilizes
     the atomistic chain (and which is incompatible with a2).
     """
-    if not F > 0:
-        raise ValueError(f"strain must be positive, got F={F}")
-    phi2_F, phi2_2F, rho1_F, rho1_2F, rho2_F, rho2_2F, g1, g2 = _uniform_derivatives(p, F)
+    # numpy floats, so a value that overflows is reported, not raised
+    phi2_F, phi2_2F, rho1_F, rho1_2F, rho2_F, rho2_2F, g1, g2 = map(np.float64, _uniform_derivatives(p, F))
     neg_b = (
         phi2_2F
         + g2 * (rho1_F**2 + 20 * rho1_2F**2 + 12 * rho1_F * rho1_2F)
@@ -317,15 +321,12 @@ def parse_potential(text: str, origin: str = "<string>") -> EAMPotential:
 
     Recognized keys (POTENTIAL_KEYS): name, family.pair, family.density,
     family.embedding and the parameters of the FAMILIES: alpha, beta, c0,
-    c1.  Unknown keys are a hard error (with line number).
+    c1.  Unknown and repeated keys are a hard error (with line number).
     """
-    entries = parse_kv_lines(text, origin)
     seen: dict[str, str] = {}
-    for lineno, key, value in entries:
+    for lineno, key, value in parse_kv_lines(text, origin):
         if key not in POTENTIAL_KEYS:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
-        if key in seen:
-            raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
         seen[key] = value
 
     def _num(key: str) -> float:

@@ -8,8 +8,9 @@ minus of the equilibrium equations cancels).  Solves run in strain space,
 where the entries and the condition number of the strain Hessian Q
 (H = D^T Q D) stay of order one at every N: integrating once gives the
 stress S = -eps * cumsum(f), and r = Du solves ``Q r = S - mean S``, since
-Q 1 = A_F 1 keeps zero-sum strains zero-sum.  One call of
-:func:`~eamchain.stability.strain_solver` is both the solve and the definiteness check.
+Q 1 = A_F 1 keeps zero-sum strains zero-sum.  The caller builds Q and passes
+it on: :func:`~eamchain.stability.strain_solver` on it is both the solve and
+the definiteness check, and the residual check applies the same Q.
 
 The modeling error of the coupled chain is driven by the stress difference
 ``sigma = (Q_qnl - Q_atomistic) r_atomistic``; the consistency residual is
@@ -28,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lattice import ChainGrid, PeriodicField, diff, norm_l2eps, norm_region
-from .models import ModelKind, RegionDecomposition, strain_hessian
+from .models import ModelKind, RegionDecomposition, SymmetricBandedOperator, strain_hessian
 from .potentials import EAMPotential
 from .stability import coefficients, lambda_min, strain_solver
 
@@ -110,24 +111,23 @@ def cosine_load(grid: ChainGrid, frequency: int = 1, amplitude: float = 1.0) -> 
 
 
 def _strain_solution(
+    q: SymmetricBandedOperator,
     model: ModelKind,
-    region: RegionDecomposition,
     p: EAMPotential,
     F: float,
     load: DeadLoad,
 ) -> np.ndarray:
-    """Zero-sum strain r = Du of the linearized equilibrium under ``load``.
-
+    """Zero-sum strain r = Du of the linearized equilibrium under ``load``,
+    solved and checked with ``q``, the strain Hessian Q of ``model`` at y_F.
     Q is positive definite exactly when A_F > 0 and H is positive definite
     on zero-mean fields: NotPositiveDefiniteError if it is not, SolveError
     if the backward error ||Q r - S|| / (||Q|| ||r|| + ||S||), in infinity
     norms, exceeds RESIDUAL_RTOL.
     """
     grid = load.field.grid
-    if region.N != grid.N:
+    if q.n != grid.period_atoms:
         raise ValueError("region and load live on different sizes")
-    q = strain_hessian(model, region, p, F)
-    solve = strain_solver(model, region, p, F)
+    solve = strain_solver(q)
     if solve is None:
         raise NotPositiveDefiniteError(
             f"{model.value} solve at F={F}, N={grid.N}: the strain Hessian is not positive "
@@ -191,9 +191,10 @@ def consistency_point(
     D2_I_max the largest |D^2 u_a| = |D r_a| over the interface window.
     """
     grid = load.field.grid
-    r_a = PeriodicField(grid, _strain_solution(ModelKind.ATOMISTIC, region, p, F, load), "strain")
-    sigma = strain_hessian(ModelKind.QNL, region, p, F).apply(r_a.values)
-    sigma -= strain_hessian(ModelKind.ATOMISTIC, region, p, F).apply(r_a.values)
+    q_a = strain_hessian(ModelKind.ATOMISTIC, region, p, F)
+    q_qnl = strain_hessian(ModelKind.QNL, region, p, F)
+    r_a = PeriodicField(grid, _strain_solution(q_a, ModelKind.ATOMISTIC, p, F, load), "strain")
+    sigma = q_qnl.apply(r_a.values) - q_a.apply(r_a.values)
     negnorm = norm_l2eps(PeriodicField(grid, sigma - sigma.mean()))
     d3 = norm_region(diff(r_a, 2), continuum_norm_sites(region), "l2")
     d2max = norm_region(diff(r_a, 1), interface_window_sites(region), "max")
@@ -225,7 +226,8 @@ def convergence_study(
         region = RegionDecomposition(n, k_rule(n))
         load = load_generator(grid)
         r_a, negnorm, d3, d2max = consistency_point(region, p, F, load)
-        err = norm_l2eps(r_a - PeriodicField(grid, _strain_solution(ModelKind.QNL, region, p, F, load)))
+        r_qnl = _strain_solution(strain_hessian(ModelKind.QNL, region, p, F), ModelKind.QNL, p, F, load)
+        err = norm_l2eps(r_a - PeriodicField(grid, r_qnl))
         lam_min = lambda_min(ModelKind.QNL, region, p, F)
         runtime_ms = (time.perf_counter() - start) * 1e3
         records.append(

@@ -18,7 +18,7 @@ Du.  Continuum atoms couple no two bonds, so Q is a core block on 2K+4 rows
 (none for QCL) plus A_F I; one banded Cholesky of the shifted block decides,
 at a cost independent of N, whether lambda < lambda_min <= A_F, and
 deterministic bisection on that test finds lambda_min and critical strains.
-Only a solve (:func:`strain_solver`) costs O(N).
+Only a solve (:func:`strain_solver`, which reads the operator alone) costs O(N).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .lattice import ChainGrid, PeriodicField, diff, norm_l2eps
-from .models import ModelKind, RegionDecomposition, _band_apply, strain_hessian
+from .models import ModelKind, RegionDecomposition, SymmetricBandedOperator, _band_apply, strain_hessian
 from .potentials import EAMPotential, _uniform_derivatives, require_finite
 
 __all__ = [
@@ -98,18 +98,18 @@ def coefficients(p: EAMPotential, F: float) -> StabilityCoefficients:
 
     Embedding derivatives are evaluated at the uniform summed density
     2 rho(F) + 2 rho(2F).  For a pure pair potential only A_tilde survives.
-    Raises NonFiniteError if a coefficient is not finite.
+    Raises NonFiniteError if a coefficient is not finite or every one is 0.
     """
-    if not 0 < F < math.inf:
-        raise ValueError(f"strain must be finite and positive, got F={F}")
     phi2_F, phi2_2F, r1F, r12F, r2F, r22F, g1, g2 = _uniform_derivatives(p, F)
-    with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
+    try:
         a_hat = 4 * g2 * (r1F + 2 * r12F) ** 2 + 2 * g1 * (r2F + 4 * r22F)
         a_tilde = phi2_F + 4 * phi2_2F
         b = -(phi2_2F + g2 * (r1F**2 + 20 * r12F**2 + 12 * r1F * r12F) + 2 * g1 * r22F)
         c = g2 * (8 * r12F**2 + 2 * r1F * r12F)
         d = -g2 * r12F**2
-    require_finite(p, F, "stability coefficient", [a_hat, a_tilde, b, c, d])
+    except OverflowError:  # a float square overflowed: a coefficient is not finite
+        a_hat = a_tilde = b = c = d = math.inf
+    require_finite(p, F, "stability coefficient", (a_hat, a_tilde, b, c, d))
     return StabilityCoefficients(F=F, A_hat=a_hat, A_tilde=a_tilde, B=b, C=c, D=d)
 
 
@@ -181,9 +181,12 @@ def fourier_spectrum(p: EAMPotential, F: float, N: int) -> SpectrumReport:
     )
 
 
-def _band_solver(ab: np.ndarray):
-    """Cholesky solve of the matrix in LAPACK lower band storage ``ab`` (in
-    Fortran order, overwritten), or None if it is not positive definite."""
+def _band_solver(ab_q: np.ndarray, shift: float = 0.0):
+    """Cholesky solve of the matrix in LAPACK lower band storage ``ab_q``
+    minus shift I, or None if it is not positive definite.  Factors a copy,
+    so ``ab_q`` is not changed."""
+    ab = ab_q.copy(order="F")
+    ab[0] -= shift
     factor, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
     if info > 0:
         return None
@@ -192,32 +195,31 @@ def _band_solver(ab: np.ndarray):
     return lambda b: scipy.linalg.lapack.dpbtrs(factor, b, lower=1)[0]
 
 
-def strain_solver(model: ModelKind, region: RegionDecomposition, p: EAMPotential, F: float):
-    """Solve with the strain Hessian Q at y_F, or None if Q is not positive
-    definite.  The atomistic Q is circulant, with eigenvalue lambda_F(s_k) on
-    strain Fourier mode k: definite when all are positive, solved by FFT.  A
-    coupled Q is a core block plus A_F I (:func:`~eamchain.models.strain_hessian`):
-    definite when A_F > 0 and the block's banded Cholesky succeeds."""
-    N = region.N
-    if model == ModelKind.ATOMISTIC:
-        c = coefficients(p, F)
-        s, lam = _symbol(c, np.arange(N + 1), N)
-        if not np.all(lam > 0):
+def strain_solver(q: SymmetricBandedOperator):
+    """Solve with the strain Hessian ``q`` by the method its form allows, or
+    None if ``q`` is not positive definite; ``q`` is not changed.  A circulant
+    far row with no core (the atomistic chain) is solved by FFT: mode k has
+    eigenvalue a + s (b + c s + d s^2), s = 4 sin^2(k pi / n), a to d sums of
+    the row's bands.  A diagonal far row is far[0] I off the core block (the
+    coupled models): definite when far[0] > 0 and the block's Cholesky succeeds."""
+    n, (q0, q1, q2, q3) = q.n, q.far
+    if q.far[1:].any():
+        a = q0 + 2 * (q1 + q2 + q3)
+        s = 4.0 * np.sin(np.arange(n // 2 + 1) * np.pi / n) ** 2
+        excess = s * (-(q1 + 4 * q2 + 9 * q3) + (q2 + 6 * q3) * s - q3 * s**2)
+        if not np.all(a + excess > 0):
             return None
-        # 1/lambda = 1/A_F - (lambda - A_F) / (lambda A_F): the FFT carries
-        # only the second term, so its roundoff stays small on smooth strains
-        excess = s * (c.B + c.C * s + c.D * s**2) / (lam * c.A)
-        return lambda b: b / c.A - np.fft.irfft(np.fft.rfft(b) * excess, 2 * N)
-    q = strain_hessian(model, region, p, F)
-    core, core_bands, a_f = q.core, q.core_bands, q.far[0]
-    # A_F decides alone when it is not positive or the core is empty (QCL)
-    core_solve = _band_solver(core_bands.T) if a_f > 0 and len(core) else np.copy
-    if not a_f > 0 or core_solve is None:
+        # 1/lambda = 1/a - (lambda - a) / (lambda a): the FFT carries only
+        # the second term, so its roundoff stays small on smooth strains
+        excess /= (a + excess) * a
+        return lambda b: b / a - np.fft.irfft(np.fft.rfft(b) * excess, n)
+    core_solve = _band_solver(q.core_bands.T) if q0 > 0 and len(q.core) else np.copy
+    if not q0 > 0 or core_solve is None:
         return None
 
     def solve(s: np.ndarray) -> np.ndarray:
-        r = s / a_f
-        r[core] = core_solve(s[core])
+        r = s / q0
+        r[q.core] = core_solve(s[q.core])
         return r
 
     return solve
@@ -262,12 +264,7 @@ def _core_min_eig(ab_q: np.ndarray, cap: float) -> float | None:
     """Smallest eigenvalue on zero-sum vectors of the core block in lower
     band storage ``ab_q``, by the bisection of :func:`lambda_min`; None if
     the block minus cap I is definite."""
-
-    def definite(lam: float) -> bool:
-        ab = ab_q.copy(order="F")
-        ab[0] -= lam
-        return _band_solver(ab) is not None
-
+    definite = lambda lam: _band_solver(ab_q, lam) is not None  # noqa: E731
     if definite(cap):
         return None
     # Gershgorin bound d - (row sum of |block| - |d|); the periodic wrap of
@@ -307,7 +304,7 @@ def critical_strain(
     if model == ModelKind.ATOMISTIC:
         stable = lambda F: _atomistic_min(coefficients(p, F), region.N) > 0  # noqa: E731
     else:
-        stable = lambda F: strain_solver(model, region, p, F) is not None  # noqa: E731
+        stable = lambda F: strain_solver(strain_hessian(model, region, p, F)) is not None  # noqa: E731
     lo_stable = stable(f_lo)
     if stable(f_hi) == lo_stable:
         state = "stable" if lo_stable else "unstable"

@@ -1,7 +1,7 @@
 """Shared key = value text grammar for potential files and experiment configs.
 
-One ``key = value`` pair per line; blank lines and lines starting with ``#``
-are ignored.  Errors carry the origin and 1-based line number.
+One ``key = value`` pair per line and each key once; ``#`` lines and blank
+lines are ignored.  Errors carry the origin and 1-based line number.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ class ConfigError(ValueError):
 
 def parse_kv_lines(text: str, origin: str = "<string>"):
     """Return a list of (lineno, key, value) entries from key = value text."""
-    entries = []
+    entries = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -29,5 +29,7 @@ def parse_kv_lines(text: str, origin: str = "<string>"):
             raise ConfigError(f"{origin}:{lineno}: empty key")
         if not value:
             raise ConfigError(f"{origin}:{lineno}: empty value for key {key!r}")
-        entries.append((lineno, key, value))
-    return entries
+        if key in entries:
+            raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
+        entries[key] = (lineno, key, value)
+    return list(entries.values())

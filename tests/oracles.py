@@ -272,7 +272,8 @@ def solve_linearized(
     integrated from the strain solve; raises NotPositiveDefiniteError when
     the model is unstable at (F, N) and SolveError when the strain solve
     fails its backward-error check."""
-    return displacement_from_strain(load.field.grid, _strain_solution(model, region, p, F, load))
+    q = strain_hessian(model, region, p, F)
+    return displacement_from_strain(load.field.grid, _strain_solution(q, model, p, F, load))
 
 
 @lru_cache(maxsize=32)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eamchain.lattice import ChainGrid
-from eamchain.models import ModelKind, RegionDecomposition, SymmetricBandedOperator
+from eamchain.models import ModelKind, RegionDecomposition, SymmetricBandedOperator, strain_hessian
 from eamchain.potentials import shipped_potential
 from eamchain.solver import NotPositiveDefiniteError, cosine_load
 from eamchain.stability import (
@@ -59,7 +59,7 @@ def test_banded_backend_matches_dense_oracle(chain):
         assert lam0 <= a_f + 1e-12 * scale
     q_min = min(lam0, a_f)
     if abs(q_min) > 1e-9 * scale:
-        assert (strain_solver(model, region, p, F) is not None) == (q_min > 0)
+        assert (strain_solver(strain_hessian(model, region, p, F)) is not None) == (q_min > 0)
 
     lam = lambda_min(model, region, p, F)
     assert lam == pytest.approx(lam0, abs=1e-11 * scale)
@@ -73,6 +73,18 @@ def test_banded_backend_matches_dense_oracle(chain):
         basis = zero_mean_basis(grid.period_atoms)
         x = basis @ np.linalg.solve(basis.T @ h_dense @ basis, basis.T @ load.field.values)
         np.testing.assert_allclose(u, x, rtol=0, atol=1e-11 * np.max(np.abs(x)))
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_strain_solver_leaves_the_operator_unchanged(reversal_p, model):
+    # the banded Cholesky factors in place, so the solver must factor a copy:
+    # callers go on to apply the same Q in residual checks
+    q = strain_hessian(model, RegionDecomposition(64, 8), reversal_p, 1.0)
+    core_bands, far = q.core_bands.copy(), q.far.copy()
+    s = np.cos(2 * np.pi * np.arange(q.n) / q.n)
+    assert np.all(np.isfinite(strain_solver(q)(s)))
+    np.testing.assert_array_equal(q.core_bands, core_bands)
+    np.testing.assert_array_equal(q.far, far)
 
 
 @pytest.mark.parametrize("K", [200, 500])

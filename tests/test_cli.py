@@ -10,6 +10,7 @@ from eamchain.cli import ExperimentConfig, load_config, main
 
 POT = str(resources.files("eamchain").joinpath("data", "default_eam.pot"))
 POT_REVERSAL = str(resources.files("eamchain").joinpath("data", "reversal_eam.pot"))
+POT_PAIR = str(resources.files("eamchain").joinpath("data", "pair_morse.pot"))
 
 
 def run_cli(*args):
@@ -36,6 +37,16 @@ def test_config_errors_carry_line_numbers(tmp_path):
     assert run_cli("--config", str(cfg_file)) == 2
     cfg_file.write_text("command = spectrum\nN = not-a-number\n")
     assert run_cli("--config", str(cfg_file)) == 2
+
+
+def test_config_key_given_twice_exits_2(tmp_path, capsys):
+    # the second N used to win silently
+    cfg_file = tmp_path / "twice.cfg"
+    cfg_file.write_text(f"command = spectrum\npotential = {POT}\nN = 16\nN = 32\n")
+    out_dir = tmp_path / "out"
+    assert run_cli("--config", str(cfg_file), "--out-dir", str(out_dir)) == 2
+    assert capsys.readouterr().err == f"config error: {cfg_file}:4: duplicate key 'N'\n"
+    assert not out_dir.exists()
 
 
 # (command, config key, malformed value); the flag is --KEY with '-' for '_'
@@ -376,8 +387,16 @@ def test_out_of_memory_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.filterwarnings("error")
-def test_remark44_with_vanishing_gaps_fits_nan_without_a_warning(tmp_path):
-    # at F = 1e300 every Rayleigh quotient and the target are 0, so every gap is 0
-    args = ["--command", "remark44", "--potential", POT, "--F", "1e300", "--N", "16,32"]
-    assert run_cli(*args, "--out-dir", str(tmp_path)) == 0
-    assert (tmp_path / "remark44_fit.csv").read_text() == "decay_exponent,target\nnan,0.000000000000000e+00\n"
+@pytest.mark.parametrize(
+    "command,pot", [("remark44", POT), ("spectrum", POT), ("validate", POT_PAIR)], ids=["remark44", "spectrum", "validate"]
+)
+def test_underflowing_strain_exits_3_and_writes_no_file(tmp_path, capsys, command, pot):
+    # at F = 1e300 every derivative underflows to 0: every table would be 0
+    # and every validation check would pass on zeros
+    out_dir = tmp_path / "out"
+    args = ["--command", command, "--potential", pot, "--F", "1e300", "--N", "16,32"]
+    assert run_cli(*args, "--out-dir", str(out_dir)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "that are all 0 at F=1e+300" in captured.err
+    assert not out_dir.exists()

@@ -1,10 +1,11 @@
 """Deterministic cost guards of the uniform-state stability drivers and the
 deformed-state evaluators.  They count work, not seconds: banded Cholesky
 factorizations at N = 2^12, each of only the 2K+4 core rows of the strain
-Hessian; evaluations of the potential, once per strain, and at a deformed
-state once per distinct argument; layouts compiled, none per new N and at
-most three per model over every K; and the modes of the stability cubic an
-atomistic decision evaluates, a few at any N."""
+Hessian; strain Hessians built, two per consistency point and four per
+rate-study point; evaluations of the potential, once per strain, and at a
+deformed state once per distinct argument; layouts compiled, none per new
+N and at most three per model over every K; and the modes of the
+stability cubic an atomistic decision evaluates, a few at any N."""
 
 import math
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg.lapack
 
-from eamchain import cli, models, stability
+from eamchain import cli, models, solver, stability
 from eamchain.lattice import ChainGrid
 from eamchain.models import Deformation, ModelKind, RegionDecomposition, energy, gradient, strain_hessian
 from eamchain.potentials import (
@@ -26,7 +27,7 @@ from eamchain.potentials import (
     quadratic_embedding,
     shipped_potential,
 )
-from eamchain.solver import convergence_study, cosine_load, fixed_k_rule
+from eamchain.solver import consistency_point, convergence_study, cosine_load, fixed_k_rule
 from eamchain.stability import coefficients, critical_strain, lambda_min
 
 from conftest import random_displacement
@@ -125,6 +126,28 @@ def test_convergence_study_evaluates_the_strain_once(default_p):
     p = counting_potential(default_p, strains)
     convergence_study(p, 1.0, cosine_load, fixed_k_rule(8), [64, 128, 256, 512, 1024])
     assert strains == [1.0, 2.0]
+
+
+def test_study_points_build_few_strain_hessians(default_p, monkeypatch):
+    # a consistency point builds Q_atomistic and Q_qnl once, for the
+    # atomistic solve and the stress difference; a rate-study point adds
+    # the QNL solve and lambda_min
+    builds = []
+    build = models.strain_hessian
+
+    def counted(*args):
+        builds.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(solver, "strain_hessian", counted)
+    monkeypatch.setattr(stability, "strain_hessian", counted)
+    n = 256
+    consistency_point(RegionDecomposition(n, K), default_p, 1.0, cosine_load(ChainGrid(n)))
+    assert len(builds) <= 2
+    builds.clear()
+    n_list = [64, 128, 256]
+    convergence_study(default_p, 1.0, cosine_load, fixed_k_rule(K), n_list)
+    assert len(builds) <= 4 * len(n_list)
 
 
 def argument_counting_potential(p: EAMPotential, sizes: dict) -> EAMPotential:

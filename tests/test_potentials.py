@@ -134,6 +134,12 @@ def test_parse_unknown_key_is_hard_error_with_line():
         parse_potential(text)
 
 
+def test_parse_duplicate_key_is_hard_error_with_line():
+    text = "family.pair = morse\nalpha = 4\nalpha = 5\n"
+    with pytest.raises(ConfigError, match=r"<string>:3: duplicate key 'alpha'"):
+        parse_potential(text)
+
+
 def test_parse_bad_line_and_missing_param():
     with pytest.raises(ConfigError, match=":2:"):
         parse_potential("name = x\njunk line\n")
