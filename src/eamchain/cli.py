@@ -145,7 +145,7 @@ def _apply_entry(cfg: ExperimentConfig, key: str, value: str, origin: str) -> No
         cfg.command = value
     elif key == "potential":
         cfg.potential = value
-    elif key in ("F", "F_list"):
+    elif key == "F":
         cfg.F_values = tuple(_parse_strain(part, origin) for part in value.split(","))
     elif key == "F_range":
         parts = value.split(":")
@@ -155,7 +155,7 @@ def _apply_entry(cfg: ExperimentConfig, key: str, value: str, origin: str) -> No
         if not lo < hi:
             raise ConfigError(f"{origin}: F_range needs lo < hi, got {value!r}")
         cfg.F_range = (lo, hi)
-    elif key in ("N", "N_list"):
+    elif key == "N":
         # ChainGrid needs N >= 4
         cfg.N_values = tuple(_parse_int(part, origin, 4) for part in value.split(","))
     elif key == "K":
@@ -177,6 +177,10 @@ def _apply_entry(cfg: ExperimentConfig, key: str, value: str, origin: str) -> No
         raise ConfigError(f"{origin}: unknown key {key!r}")
 
 
+# config-file keys that are other names of a setting
+_ALIASES = {"F_list": "F", "N_list": "N"}
+
+
 def load_config(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     try:
@@ -185,8 +189,13 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read config file {path}: not UTF-8 (byte {exc.start})") from exc
+    given = {}  # setting -> the key that set it
     for lineno, key, value in parse_kv_lines(text, origin=str(path)):
-        _apply_entry(cfg, key, value, f"{path}:{lineno}")
+        setting = _ALIASES.get(key, key)
+        if setting in given:
+            raise ConfigError(f"{path}:{lineno}: {key!r} sets the same setting as {given[setting]!r}")
+        given[setting] = key
+        _apply_entry(cfg, setting, value, f"{path}:{lineno}")
     return cfg
 
 

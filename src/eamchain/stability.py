@@ -19,16 +19,24 @@ Du.  Continuum atoms couple no two bonds, so Q is a core block on 2K+4 rows
 at a cost independent of N, whether lambda < lambda_min <= A_F, and
 deterministic bisection on that test finds lambda_min and critical strains.
 Only a solve (:func:`strain_solver`, which reads the operator alone) costs O(N).
+
+The banded Cholesky is LAPACK's ``dpbtrf``/``dpbtrs`` from scipy's own f2py
+extension ``scipy.linalg._flapack``, loaded from its file at import without
+running ``scipy.linalg``'s package initializer: the routines are the same
+objects ``scipy.linalg.lapack`` exports, and skipping the package saves most
+of the import time and memory of a process.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import numpy.fft  # numpy loads it on first use; strain_solver needs it, so load it at import
 
 from .lattice import ChainGrid, PeriodicField, diff, norm_l2eps
 from .models import ModelKind, RegionDecomposition, SymmetricBandedOperator, _band_apply, strain_hessian
@@ -47,6 +55,25 @@ __all__ = [
     "remark_test_functions",
     "rayleigh_quotient",
 ]
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module, loaded from the ``scipy.linalg``
+    directory; finding that directory imports ``scipy`` but not
+    ``scipy.linalg``."""
+    linalg = importlib.util.find_spec("scipy.linalg")
+    path = [] if linalg is None else linalg.submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", path)
+    if spec is None:
+        import scipy
+
+        raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension scipy.linalg._flapack")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
 
 
 class BracketError(ValueError):
@@ -184,15 +211,17 @@ def fourier_spectrum(p: EAMPotential, F: float, N: int) -> SpectrumReport:
 def _band_solver(ab_q: np.ndarray, shift: float = 0.0):
     """Cholesky solve of the matrix in LAPACK lower band storage ``ab_q``
     minus shift I, or None if it is not positive definite.  Factors a copy,
-    so ``ab_q`` is not changed."""
+    so ``ab_q`` is not changed.  ``dpbtrf``/``dpbtrs`` are called on the
+    module-level ``_flapack``, so the definiteness test and the solve run
+    the same LAPACK as ``scipy.linalg.lapack`` without its import."""
     ab = ab_q.copy(order="F")
     ab[0] -= shift
-    factor, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    factor, info = _flapack.dpbtrf(ab, lower=1, overwrite_ab=1)
     if info > 0:
         return None
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpbtrf")
-    return lambda b: scipy.linalg.lapack.dpbtrs(factor, b, lower=1)[0]
+    return lambda b: _flapack.dpbtrs(factor, b, lower=1)[0]
 
 
 def strain_solver(q: SymmetricBandedOperator):

@@ -1,8 +1,13 @@
 """The banded backend against the dense oracle on drawn (material, model, N, K, F),
-and the banded product against the dense one."""
+the banded product against the dense one, and the banded Cholesky against
+scipy.linalg.lapack."""
+
+import importlib.util
+import inspect
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +16,8 @@ from eamchain.models import ModelKind, RegionDecomposition, SymmetricBandedOpera
 from eamchain.potentials import shipped_potential
 from eamchain.solver import NotPositiveDefiniteError, cosine_load
 from eamchain.stability import (
+    _band_solver,
+    _load_flapack,
     coefficients,
     lambda_min,
     strain_solver,
@@ -107,3 +114,36 @@ def test_apply_matches_dense_product(rng, N, w):
     v = rng.standard_normal(n)
     dense = op.to_dense()
     np.testing.assert_allclose(op.apply(v), dense @ v, rtol=0, atol=1e-14 * np.max(np.abs(dense) @ np.abs(v)))
+
+
+@pytest.mark.parametrize("K", [0, 8, 256])
+def test_band_solver_is_scipy_lapack_bitwise(K):
+    # a seeded symmetric band matrix of half-bandwidth 4 on the 2K+4 core
+    # rows, in LAPACK lower band storage; each row has at most 8
+    # off-diagonal entries in (-1, 1), so its Gershgorin bound exceeds 1
+    rng = np.random.default_rng(K)
+    n = 2 * K + 4
+    ab = rng.uniform(-1.0, 1.0, (5, n))
+    ab[0] = rng.uniform(9.0, 10.0, n)
+    b = rng.standard_normal(n)
+    before = ab.copy()
+    solve = _band_solver(ab, 0.5)
+    assert np.array_equal(ab, before)
+    shifted = ab.copy(order="F")
+    shifted[0] -= 0.5
+    factor, info = scipy.linalg.lapack.dpbtrf(shifted, lower=1)
+    assert info == 0
+    assert np.array_equal(inspect.getclosurevars(solve).nonlocals["factor"], factor)
+    assert np.array_equal(solve(b), scipy.linalg.lapack.dpbtrs(factor, b, lower=1)[0])
+    # shifted past its largest diagonal entry the matrix is not definite
+    shift = ab[0].max() + 1.0
+    shifted = ab.copy(order="F")
+    shifted[0] -= shift
+    assert _band_solver(ab, shift) is None and scipy.linalg.lapack.dpbtrf(shifted, lower=1)[1] > 0
+
+
+def test_missing_lapack_extension_names_the_scipy_version(monkeypatch):
+    # a scipy without the linalg package: no directory to load the extension from
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no LAPACK extension"):
+        _load_flapack()

@@ -1,5 +1,8 @@
 """Config parsing, command runs, CSV outputs, and determinism."""
 
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -47,6 +50,36 @@ def test_config_key_given_twice_exits_2(tmp_path, capsys):
     assert run_cli("--config", str(cfg_file), "--out-dir", str(out_dir)) == 2
     assert capsys.readouterr().err == f"config error: {cfg_file}:4: duplicate key 'N'\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("first, second", [("N = 16", "N_list = 32"), ("F_list = 1.0", "F = 1.05")], ids=["N", "F"])
+def test_config_setting_given_by_two_aliases_exits_2(tmp_path, capsys, first, second):
+    # the second alias used to win silently
+    cfg_file = tmp_path / "aliases.cfg"
+    cfg_file.write_text(f"command = spectrum\npotential = {POT}\n{first}\n{second}\n")
+    out_dir = tmp_path / "out"
+    assert run_cli("--config", str(cfg_file), "--out-dir", str(out_dir)) == 2
+    key, other = second.split(" = ")[0], first.split(" = ")[0]
+    assert capsys.readouterr().err == f"config error: {cfg_file}:4: {key!r} sets the same setting as {other!r}\n"
+    assert not out_dir.exists()
+
+
+def test_cli_never_imports_scipy_linalg(tmp_path):
+    # the banded Cholesky loads scipy's LAPACK extension alone; importing
+    # the scipy.linalg package would triple the start-up of every command
+    check = (
+        "import sys, eamchain.cli\n"
+        "assert 'scipy.linalg' not in sys.modules, 'on import'\n"
+        "status = eamchain.cli.main(sys.argv[1:])\n"
+        "assert status == 0 and 'scipy.linalg' not in sys.modules, 'after critical-strain'\n"
+    )
+    argv = ["--command", "critical-strain", "--potential", POT, "--F-range", "1.0:1.15"]
+    argv += ["--N", "32,64,128", "--K", "8", "--out-dir", str(tmp_path)]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", check, *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "critical_strain.csv").is_file()
 
 
 # (command, config key, malformed value); the flag is --KEY with '-' for '_'

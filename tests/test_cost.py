@@ -13,7 +13,6 @@ from importlib import resources
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 
 from eamchain import cli, models, solver, stability
 from eamchain.lattice import ChainGrid
@@ -39,15 +38,16 @@ CORE = 2 * K + 4
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Column count of every ``dpbtrf`` call."""
+    """Column count of every ``dpbtrf`` call on the LAPACK module that
+    ``stability`` loads."""
     columns = []
-    factor = scipy.linalg.lapack.dpbtrf
+    factor = stability._flapack.dpbtrf
 
     def counted(ab, *args, **kwargs):
         columns.append(ab.shape[1])
         return factor(ab, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", counted)
+    monkeypatch.setattr(stability._flapack, "dpbtrf", counted)
     return columns
 
 
