@@ -9,6 +9,10 @@ only then writes the files the runner returned, each atomically: a command
 that fails writes no file, and a command's files are held in memory until
 it completes.  Identical config and seed reproduce the same bytes, except
 for the wall-clock runtime_ms diagnostic column of rate studies.
+``critical-strain`` bisects each distinct problem once, as
+:func:`~eamchain.stability.stability_key` tells them apart: the atomistic
+chain per N, QNL per distinct K and QCL once per run, each F* written on
+every row that shares it.
 
 Exit status: 0 all invoked checks passed, 1 a validation check failed,
 2 config error (a malformed value; the message names its flag or file:line),
@@ -19,6 +23,7 @@ analysed or whose derivatives there are all 0, and running out of memory).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -62,6 +67,7 @@ from .stability import (
     lambda_min,
     rayleigh_quotient,
     remark_test_functions,
+    stability_key,
 )
 from .textconfig import ConfigError, parse_kv_lines
 
@@ -346,10 +352,13 @@ def _run_spectrum(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
 def _run_critical_strain(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
     rows = []
     for model in (ModelKind.ATOMISTIC, ModelKind.QNL, ModelKind.QCL):
+        f_star = {}  # one bisection per stability_key: per N, per K, or once
         for n in cfg.N_values:
             region = RegionDecomposition(n, cfg.k_for(n))
-            f_star = critical_strain(model, region, p, cfg.F_range)
-            rows.append([model.value, n, float(f_star)])
+            key = stability_key(model, region)
+            if key not in f_star:
+                f_star[key] = critical_strain(model, region, p, cfg.F_range)
+            rows.append([model.value, n, float(f_star[key])])
     return 0, {"critical_strain.csv": _csv_text(["model", "N", "F_star"], rows)}
 
 
@@ -384,7 +393,7 @@ def _run_consistency(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]
     for n in cfg.N_values:
         grid = ChainGrid(n)
         region = RegionDecomposition(n, cfg.k_for(n))
-        _, negnorm, d3, d2max = consistency_point(region, p, f_val, cosine_load(grid))
+        _, negnorm, d3, d2max, _ = consistency_point(region, p, f_val, cosine_load(grid))
         eps = grid.epsilon
         # Single per-N constant that makes the two-term bound an equality;
         # stability of this number across N is the operational form of the
@@ -432,6 +441,7 @@ RUNNERS = {
 COMMANDS = tuple(RUNNERS)
 
 
+@functools.cache  # built on first use, not at import, then reused by every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eamchain",

@@ -235,6 +235,10 @@ def _uniform_derivatives(p: EAMPotential, F: float) -> tuple:
     return values
 
 
+def _minus_b(phi2_2F, r1F, r12F, r22F, g1, g2):  # -B of stability.coefficients; a2 tests its sign
+    return phi2_2F + g2 * (r1F**2 + 20 * r12F**2 + 12 * r1F * r12F) + 2 * g1 * r22F
+
+
 def check_assumptions(p: EAMPotential, F: float) -> AssumptionReport:
     """Evaluate the a1 / a2 / a3 sign conditions at strain F.
 
@@ -245,11 +249,7 @@ def check_assumptions(p: EAMPotential, F: float) -> AssumptionReport:
     """
     # numpy floats, so a value that overflows is reported, not raised
     phi2_F, phi2_2F, rho1_F, rho1_2F, rho2_F, rho2_2F, g1, g2 = map(np.float64, _uniform_derivatives(p, F))
-    neg_b = (
-        phi2_2F
-        + g2 * (rho1_F**2 + 20 * rho1_2F**2 + 12 * rho1_F * rho1_2F)
-        + 2 * g1 * rho2_2F
-    )
+    neg_b = _minus_b(phi2_2F, rho1_F, rho1_2F, rho2_2F, g1, g2)
     a3_value = phi2_2F + g2 * (rho1_F + 2 * rho1_2F) ** 2 + 2 * g1 * rho2_2F
 
     raw = {

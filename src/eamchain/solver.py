@@ -31,7 +31,7 @@ import numpy as np
 from .lattice import ChainGrid, PeriodicField, diff, norm_l2eps, norm_region
 from .models import ModelKind, RegionDecomposition, SymmetricBandedOperator, strain_hessian
 from .potentials import EAMPotential
-from .stability import coefficients, lambda_min, strain_solver
+from .stability import coefficients, lambda_min, stability_key, strain_solver
 
 __all__ = [
     "DeadLoad",
@@ -182,14 +182,17 @@ def consistency_point(
     p: EAMPotential,
     F: float,
     load: DeadLoad,
-) -> tuple[PeriodicField, float, float, float]:
-    """Atomistic side of one study point: (r_a, negnorm, D3_C, D2_I_max).
+) -> tuple[PeriodicField, float, float, float, SymmetricBandedOperator]:
+    """Atomistic side of one study point: (r_a, negnorm, D3_C, D2_I_max, Q_qnl).
 
     r_a = D u_a is the atomistic strain under ``load``; negnorm is the
-    negative norm ``||sigma - mean sigma||`` of its consistency residual;
-    D3_C is the l2_eps norm of D^3 u_a = D^2 r_a over the continuum sites and
-    D2_I_max the largest |D^2 u_a| = |D r_a| over the interface window.
+    negative norm ``||sigma - mean sigma||`` of its consistency residual
+    sigma = (Q_qnl - Q_a) r_a; D3_C is the l2_eps norm of D^3 u_a = D^2 r_a
+    on the continuum sites, D2_I_max the largest |D^2 u_a| = |D r_a| on the
+    interface window.  ValueError if K >= N-5 (the CLI rejects it too).
     """
+    if region.K >= region.N - 5:
+        raise ValueError(f"need K < N-5 for a consistency point, got K={region.K}, N={region.N}")
     grid = load.field.grid
     q_a = strain_hessian(ModelKind.ATOMISTIC, region, p, F)
     q_qnl = strain_hessian(ModelKind.QNL, region, p, F)
@@ -198,7 +201,7 @@ def consistency_point(
     negnorm = norm_l2eps(PeriodicField(grid, sigma - sigma.mean()))
     d3 = norm_region(diff(r_a, 2), continuum_norm_sites(region), "l2")
     d2max = norm_region(diff(r_a, 1), interface_window_sites(region), "max")
-    return r_a, negnorm, d3, d2max
+    return r_a, negnorm, d3, d2max, q_qnl
 
 
 def convergence_study(
@@ -215,20 +218,23 @@ def convergence_study(
     residual negative norm against eps, fitted over all points and over the
     tail (coarsest point excluded, the reported headline number).  The
     strain error is ||r_a - r_qnl|| of two strain solves.  lambda_min of
-    the coupled operator is recorded beside the continuum modulus A_F: it
-    is A_F whenever the core block of the QNL strain Hessian has no smaller
-    eigenvalue on zero-sum core strains.
+    the coupled operator, computed once per distinct K, is recorded beside
+    the continuum modulus A_F: it is A_F whenever the core block of the QNL
+    strain Hessian has no smaller eigenvalue on zero-sum core strains.
     """
     records: list[ConvergenceRecord] = []
+    lam_min = {}  # per stability_key
     for n in n_list:
         start = time.perf_counter()
         grid = ChainGrid(n)
         region = RegionDecomposition(n, k_rule(n))
         load = load_generator(grid)
-        r_a, negnorm, d3, d2max = consistency_point(region, p, F, load)
-        r_qnl = _strain_solution(strain_hessian(ModelKind.QNL, region, p, F), ModelKind.QNL, p, F, load)
+        r_a, negnorm, d3, d2max, q_qnl = consistency_point(region, p, F, load)
+        r_qnl = _strain_solution(q_qnl, ModelKind.QNL, p, F, load)
         err = norm_l2eps(r_a - PeriodicField(grid, r_qnl))
-        lam_min = lambda_min(ModelKind.QNL, region, p, F)
+        key = stability_key(ModelKind.QNL, region)
+        if key not in lam_min:
+            lam_min[key] = lambda_min(ModelKind.QNL, region, p, F)
         runtime_ms = (time.perf_counter() - start) * 1e3
         records.append(
             ConvergenceRecord(
@@ -241,7 +247,7 @@ def convergence_study(
                 D2_interface_max=d2max,
                 runtime_ms=runtime_ms,
                 a_modulus=coefficients(p, F).A,
-                lambda_min_qnl=lam_min,
+                lambda_min_qnl=lam_min[key],
             )
         )
     eps = [r.epsilon for r in records]

@@ -40,7 +40,7 @@ import numpy.fft  # numpy loads it on first use; strain_solver needs it, so load
 
 from .lattice import ChainGrid, PeriodicField, diff, norm_l2eps
 from .models import ModelKind, RegionDecomposition, SymmetricBandedOperator, _band_apply, strain_hessian
-from .potentials import EAMPotential, _uniform_derivatives, require_finite
+from .potentials import EAMPotential, _minus_b, _uniform_derivatives, require_finite
 
 __all__ = [
     "StabilityCoefficients",
@@ -52,6 +52,7 @@ __all__ = [
     "strain_solver",
     "lambda_min",
     "critical_strain",
+    "stability_key",
     "remark_test_functions",
     "rayleigh_quotient",
 ]
@@ -131,7 +132,7 @@ def coefficients(p: EAMPotential, F: float) -> StabilityCoefficients:
     try:
         a_hat = 4 * g2 * (r1F + 2 * r12F) ** 2 + 2 * g1 * (r2F + 4 * r22F)
         a_tilde = phi2_F + 4 * phi2_2F
-        b = -(phi2_2F + g2 * (r1F**2 + 20 * r12F**2 + 12 * r1F * r12F) + 2 * g1 * r22F)
+        b = -_minus_b(phi2_2F, r1F, r12F, r22F, g1, g2)
         c = g2 * (8 * r12F**2 + 2 * r1F * r12F)
         d = -g2 * r12F**2
     except OverflowError:  # a float square overflowed: a coefficient is not finite
@@ -340,6 +341,16 @@ def critical_strain(
         raise BracketError(f"{model.value} chain is {state} at both F={f_lo} and F={f_hi}")
     f_lo, f_hi = _bisect(lambda F: stable(F) == lo_stable, f_lo, f_hi, tol)
     return 0.5 * (f_lo + f_hi)
+
+
+def stability_key(model: ModelKind, region: RegionDecomposition) -> int | None:
+    """What of ``region`` the uniform-state results of ``model`` depend on:
+    N for the atomistic chain, K for QNL and nothing (None) for QCL.  At one
+    potential, strain and bracket, two regions with equal keys give
+    bitwise-equal :func:`critical_strain` and :func:`lambda_min`, because a
+    coupled strain Hessian's core block and far row do not depend on N (and
+    QCL's has no core), so a driver computes each once per key."""
+    return {ModelKind.ATOMISTIC: region.N, ModelKind.QNL: region.K}.get(model)
 
 
 def remark_test_functions(N: int, K: int):

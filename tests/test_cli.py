@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from eamchain import cli
+from eamchain import cli, stability
 from eamchain.cli import ExperimentConfig, load_config, main
+from eamchain.models import ModelKind, RegionDecomposition
+from eamchain.potentials import load_potential_file
 
 POT = str(resources.files("eamchain").joinpath("data", "default_eam.pot"))
 POT_REVERSAL = str(resources.files("eamchain").joinpath("data", "reversal_eam.pot"))
@@ -254,6 +256,37 @@ def test_critical_strain_command(tmp_path):
     assert len(lines) == 4  # three models at one size
     stars = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(1.0 < f < 1.15 for f in stars)
+
+
+@pytest.mark.parametrize(
+    "sizes, ks, bisections",
+    [
+        (["--N", "32,64,128", "--K", "8"], [8, 8, 8], {"atomistic": 3, "qnl": 1, "qcl": 1}),
+        (["--N", "32,35,36,64", "--K-rule", "power:0.5"], [5, 5, 6, 8], {"atomistic": 4, "qnl": 3, "qcl": 1}),
+    ],
+    ids=["fixed-K", "power-rule"],
+)
+def test_critical_strain_bisects_each_coupled_model_once_per_k(tmp_path, monkeypatch, sizes, ks, bisections):
+    # QNL's F_star depends on K alone and QCL's on neither N nor K, so the
+    # runner bisects QNL once per distinct K and QCL once, and writes each
+    # F_star on every row that shares it: the value a bisection at that
+    # row gives
+    calls = []
+
+    def counted(model, region, p, bracket):
+        calls.append(model.value)
+        return stability.critical_strain(model, region, p, bracket)
+
+    monkeypatch.setattr(cli, "critical_strain", counted)
+    args = ["--command", "critical-strain", "--potential", POT_REVERSAL, "--F-range", "0.95:1.2"]
+    assert run_cli(*args, *sizes, "--out-dir", str(tmp_path)) == 0
+    assert {model: calls.count(model) for model in set(calls)} == bisections
+    p = load_potential_file(POT_REVERSAL)
+    rows = [line.split(",") for line in (tmp_path / "critical_strain.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3 * len(ks)
+    for (model, n, f_star), k in zip(rows, ks * 3):
+        region = RegionDecomposition(int(n), k)
+        assert f_star == f"{stability.critical_strain(ModelKind(model), region, p, (0.95, 1.2)):.15e}"
 
 
 def test_critical_strain_bad_bracket_is_numerical_failure(tmp_path):

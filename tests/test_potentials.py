@@ -8,8 +8,10 @@ import pytest
 from eamchain.potentials import (
     STABLE_RANGES,
     EAMPotential,
+    NonFiniteError,
     ScalarFunctionC2,
     check_assumptions,
+    expdecay_density,
     load_potential_file,
     morse_pair,
     parse_potential,
@@ -81,11 +83,22 @@ def test_assumption_booleans_match_raw_signs(default_p):
 
 @pytest.mark.parametrize("name", ["default-eam", "reversal-eam", "pair-morse"])
 def test_a2_is_the_sign_of_the_stability_cubic_b(name):
-    # the assumption report and the stability coefficients write B out
-    # separately; a2 (-B <= 0) must test the same number bit for bit
+    # the assumption report evaluates the formula of the stability
+    # coefficients on numpy floats; a2 (-B <= 0) must test the same number
+    # bit for bit
     p = shipped_potential(name)
     for F in (i / 100 for i in range(80, 131)):
         assert check_assumptions(p, F).raw["minus_B"] == -coefficients(p, F).B, F
+
+
+def test_assumption_report_keeps_a_b_that_overflows():
+    # rho'(F)^2 overflows: the report holds inf where coefficients raises
+    p = EAMPotential(morse_pair(4.0), expdecay_density(400.0), quadratic_embedding(0.05, 0.5))
+    with np.errstate(over="ignore"):
+        rep = check_assumptions(p, 0.05)
+    assert rep.raw["minus_B"] == np.inf and not rep.a2_holds
+    with pytest.raises(NonFiniteError):
+        coefficients(p, 0.05)
 
 
 def test_assumption_report_deterministic(default_p):

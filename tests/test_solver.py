@@ -228,11 +228,12 @@ def test_negative_norm_matches_dense_maximization(default_p, rng):
 
 @st.composite
 def study_points(draw):
-    """(potential, region, F, load frequency): N in [8, 128], K in [0, N-3],
-    F in [0.95, 1.05], where every shipped atomistic chain is stable."""
+    """(potential, region, F, load frequency): N in [8, 128], K in [0, N-6]
+    (a consistency point's window), F in [0.95, 1.05], where every shipped
+    atomistic chain is stable."""
     p = POTENTIALS[draw(st.sampled_from(sorted(POTENTIALS)))]
     n = draw(st.integers(8, 128))
-    region = RegionDecomposition(n, draw(st.integers(0, n - 3)))
+    region = RegionDecomposition(n, draw(st.integers(0, n - 6)))
     return p, region, draw(st.floats(0.95, 1.05)), draw(st.integers(1, n - 1))
 
 
@@ -243,9 +244,18 @@ def test_consistency_point_negnorm_matches_residual_oracle(point):
     # integrated once from the site-space residual
     p, region, F, frequency = point
     grid = ChainGrid(region.N)
-    r_a, negnorm, _, _ = consistency_point(region, p, F, cosine_load(grid, frequency))
+    r_a, negnorm, _, _, _ = consistency_point(region, p, F, cosine_load(grid, frequency))
     u_a = displacement_from_strain(grid, r_a.values)
     assert negnorm == pytest.approx(negative_norm(consistency_residual(region, p, F, u_a)), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, k", [(16, 11), (16, 13), (64, 59)])
+def test_consistency_point_rejects_k_outside_the_experiment_window(default_p, n, k):
+    # K >= N-5: the 16-site interface window wraps the period, and the CLI
+    # rejects such a K before it reaches the library
+    with pytest.raises(ValueError, match="K < N-5"):
+        consistency_point(RegionDecomposition(n, k), default_p, 1.0, cosine_load(ChainGrid(n)))
+    consistency_point(RegionDecomposition(n, n - 6), default_p, 1.0, cosine_load(ChainGrid(n)))
 
 
 def test_error_equation_and_stability_chain(default_p):

@@ -29,6 +29,7 @@ from eamchain.stability import (
     lambda_min,
     rayleigh_quotient,
     remark_test_functions,
+    stability_key,
 )
 
 from conftest import random_displacement
@@ -177,17 +178,36 @@ def test_qnl_min_eig_is_a_f_to_roundoff_at_large_n(default_p):
     assert abs(lam - a_f) <= 1e-14 * a_f
 
 
-@pytest.mark.parametrize("name,bracket", [("default-eam", (1.0, 1.15)), ("reversal-eam", (0.95, 1.2))])
+BRACKETS = [("default-eam", (1.0, 1.15)), ("reversal-eam", (0.95, 1.2))]
+
+
+def coupled_results(model, regions, p, bracket) -> set:
+    """The distinct (lambda_min at F = 1 and 1.1, critical strain) of
+    ``model`` over ``regions``, after checking that they share one
+    stability_key: drivers compute these once per key."""
+    assert len({stability_key(model, region) for region in regions}) == 1
+    return {
+        (lambda_min(model, r, p, 1.0), lambda_min(model, r, p, 1.1), critical_strain(model, r, p, bracket))
+        for r in regions
+    }
+
+
+@pytest.mark.parametrize("name,bracket", BRACKETS)
 def test_qnl_stability_does_not_depend_on_n(name, bracket):
     # the decisions see only the 2K+4 core rows and A_F, the same at every N;
     # the reversal core has an eigenvalue below A_F, so bisection runs there
     p = shipped_potential(name)
-    small, large = (RegionDecomposition(n, 8) for n in (2**6, 2**16))
-    for F in (1.0, 1.1):
-        assert lambda_min(ModelKind.QNL, small, p, F) == lambda_min(ModelKind.QNL, large, p, F)
-    assert critical_strain(ModelKind.QNL, small, p, bracket) == critical_strain(
-        ModelKind.QNL, large, p, bracket
-    )
+    for k in (0, 1, 8, 64):
+        regions = [RegionDecomposition(n, k) for n in (k + 6, 64, 4096, 2**18 + 1) if n >= k + 6]
+        assert len(coupled_results(ModelKind.QNL, regions, p, bracket)) == 1, k
+
+
+@pytest.mark.parametrize("name,bracket", BRACKETS)
+def test_qcl_stability_depends_on_neither_n_nor_k(name, bracket):
+    # Q = A_F I: no core, so nothing of the region enters a decision
+    p = shipped_potential(name)
+    regions = [RegionDecomposition(n, k) for k in (0, 1, 8, 64) for n in (k + 6, 64, 4096) if n >= k + 6]
+    assert len(coupled_results(ModelKind.QCL, regions, p, bracket)) == 1
 
 
 _DEFAULT = shipped_potential("default-eam")
