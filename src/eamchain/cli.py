@@ -7,8 +7,9 @@ for rate studies, a plain-text gnuplot script.  Every command runs through
 :func:`main`, which loads the potential once, runs the command's runner and
 only then writes the files the runner returned, each atomically: a command
 that fails writes no file, and a command's files are held in memory until
-it completes.  Identical config and seed reproduce the same bytes, except
-for the wall-clock runtime_ms diagnostic column of rate studies.
+it completes.  Identical config and seed reproduce the same bytes in every
+file.  The (N, K) of every point comes from :meth:`ExperimentConfig.regions`;
+``converge``, ``consistency`` and ``remark44`` take one strain F.
 ``critical-strain`` bisects each distinct problem once, as
 :func:`~eamchain.stability.stability_key` tells them apart: the atomistic
 chain per N, QNL per distinct K and QCL once per run, each F* written on
@@ -28,6 +29,7 @@ import math
 import os
 import sys
 import tempfile
+import time
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -56,7 +58,6 @@ from .solver import (
     convergence_study,
     cosine_load,
     fit_loglog_slope,
-    power_k_rule,
 )
 from .stability import (
     BracketError,
@@ -89,7 +90,12 @@ class ExperimentConfig:
         if self.command == "remark44":
             return n // 2
         theta = _power_theta(self.K_rule)
-        return self.K if theta is None else power_k_rule(theta)(n)
+        return self.K if theta is None else int(np.floor(n**theta))
+
+    def regions(self) -> list[RegionDecomposition]:
+        """The region (N, K = :meth:`k_for` N) of every listed N, in order;
+        call after :meth:`validate`, which checks the K window."""
+        return [RegionDecomposition(n, self.k_for(n)) for n in self.N_values]
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
@@ -108,6 +114,9 @@ class ExperimentConfig:
                     raise ConfigError(f"need 0 <= K < N-5 for experiments, got K={k}, N={n}")
         if self.command == "critical-strain" and self.F_range is None:
             raise ConfigError("critical-strain needs F_range = lo:hi")
+        # their tables hold one strain and have no F column
+        if self.command in ("converge", "consistency", "remark44") and len(self.F_values) > 1:
+            raise ConfigError(f"{self.command} takes one strain F, got {len(self.F_values)}")
 
 
 def _power_theta(rule: str) -> float | None:
@@ -282,9 +291,8 @@ def _run_validate(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
             worst_id = max(worst_id, _identity_deviation(u))
     checks.append(("strain-identities", worst_id <= 1e-12, f"max rel deviation {worst_id:.3e}"))
 
-    n = cfg.N_values[0]
-    grid = ChainGrid(n)
-    region = RegionDecomposition(n, cfg.k_for(n))
+    region = cfg.regions()[0]
+    grid = ChainGrid(region.N)
     worst_gf = 0.0
     for f_val in cfg.F_values:
         scale = force_scale(p, f_val, grid)
@@ -351,14 +359,14 @@ def _run_spectrum(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
 
 def _run_critical_strain(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
     rows = []
+    regions = cfg.regions()
     for model in (ModelKind.ATOMISTIC, ModelKind.QNL, ModelKind.QCL):
         f_star = {}  # one bisection per stability_key: per N, per K, or once
-        for n in cfg.N_values:
-            region = RegionDecomposition(n, cfg.k_for(n))
+        for region in regions:
             key = stability_key(model, region)
             if key not in f_star:
                 f_star[key] = critical_strain(model, region, p, cfg.F_range)
-            rows.append([model.value, n, float(f_star[key])])
+            rows.append([model.value, region.N, float(f_star[key])])
     return 0, {"critical_strain.csv": _csv_text(["model", "N", "F_star"], rows)}
 
 
@@ -375,14 +383,18 @@ plot 'converge.csv' using 3:4 skip 1 with linespoints title 'strain error', \\
 
 def _run_converge(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
     # the tail slopes drop the coarsest N, so they need at least three N (else nan)
-    records, rates = convergence_study(p, cfg.F_values[0], cosine_load, cfg.k_for, cfg.N_values)
+    start = time.perf_counter()
+    records, rates = convergence_study(p, cfg.F_values[0], cfg.regions())
+    wall_s = time.perf_counter() - start
     # the record's fields are the leading columns, in order
     rows = [[*astuple(r), rates["error_slope_all"], rates["error_slope_tail"]] for r in records]
-    header = ["N", "K", "epsilon", "error_H1", "negnorm", "D3_C", "D2_I_max", "runtime_ms", "A_F", "lambda_min_qnl"]
+    header = ["N", "K", "epsilon", "error_H1", "negnorm", "D3_C", "D2_I_max", "A_F", "lambda_min_qnl"]
     table = _csv_text(header + ["fit_slope_all", "fit_slope_tail"], rows)
+    # the wall time is a diagnostic, kept off the reproducible CSV
     print(
         f"error slope (tail) {rates['error_slope_tail']:.3f}, "
-        f"negnorm slope (tail) {rates['negnorm_slope_tail']:.3f}"
+        f"negnorm slope (tail) {rates['negnorm_slope_tail']:.3f}, "
+        f"study wall time {wall_s:.3f} s"
     )
     return 0, {"converge.csv": table, "converge_plot.gp": GNUPLOT_TEMPLATE}
 
@@ -390,16 +402,15 @@ def _run_converge(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
 def _run_consistency(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
     f_val = cfg.F_values[0]
     rows = []
-    for n in cfg.N_values:
-        grid = ChainGrid(n)
-        region = RegionDecomposition(n, cfg.k_for(n))
+    for region in cfg.regions():
+        grid = ChainGrid(region.N)
         _, negnorm, d3, d2max, _ = consistency_point(region, p, f_val, cosine_load(grid))
         eps = grid.epsilon
         # Single per-N constant that makes the two-term bound an equality;
         # stability of this number across N is the operational form of the
         # consistency estimate.
         m_required = negnorm / (eps**2 * d3 + eps**1.5 * d2max)
-        rows.append([n, region.K, eps, negnorm, d3, d2max, m_required])
+        rows.append([region.N, region.K, eps, negnorm, d3, d2max, m_required])
     header = ["N", "K", "epsilon", "negnorm", "D3_C", "D2_I_max", "M_required"]
     return 0, {"consistency.csv": _csv_text(header, rows)}
 
@@ -411,15 +422,13 @@ def _run_remark44(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
     rows = []
     gaps = []
     ks = []
-    for n in cfg.N_values:
-        k = cfg.k_for(n)
-        region = RegionDecomposition(n, k)
-        u_tilde, u_hat = remark_test_functions(n, k)
+    for region in cfg.regions():
+        u_tilde, u_hat = remark_test_functions(region.N, region.K)
         rq_atom = rayleigh_quotient(ModelKind.ATOMISTIC, region, p, f_val, u_tilde)
         rq_qnl = rayleigh_quotient(ModelKind.QNL, region, p, f_val, u_hat)
         qcl_min = lambda_min(ModelKind.QCL, region, p, f_val)
-        rows.append([k, n, rq_atom, rq_qnl, qcl_min, target, rq_qnl - target])
-        ks.append(k)
+        rows.append([region.K, region.N, rq_atom, rq_qnl, qcl_min, target, rq_qnl - target])
+        ks.append(region.K)
         gaps.append(abs(rq_qnl - target))
     header = ["K", "N", "rq_atomistic_utilde", "rq_qnl_uhat", "qcl_lambda_min", "target", "gap"]
     # gap ~ C / K, so the decay exponent is the log-log slope against 1/K

@@ -16,15 +16,14 @@ The modeling error of the coupled chain is driven by the stress difference
 ``sigma = (Q_qnl - Q_atomistic) r_atomistic``; the consistency residual is
 ``T = D^T sigma``, and its dual norm against ``||Dw||``, which bounds the
 strain error through the stability constant, is ``||sigma - mean sigma||``.
-The study harness sweeps chain sizes, records these quantities and fits
-log-log slopes against the lattice spacing.
+The rate study sweeps a sequence of regions (N, K) under the cosine load,
+records these quantities and fits log-log slopes against the lattice spacing.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,8 +40,6 @@ __all__ = [
     "cosine_load",
     "consistency_point",
     "convergence_study",
-    "fixed_k_rule",
-    "power_k_rule",
     "continuum_norm_sites",
     "interface_window_sites",
     "fit_loglog_slope",
@@ -64,10 +61,9 @@ class SolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class DeadLoad:
-    """Periodic dead load: force per atom with zero mean, plus provenance."""
+    """Periodic dead load: force per atom with zero mean."""
 
     field: PeriodicField
-    source: str = ""
 
     def __post_init__(self) -> None:
         vals = self.field.values
@@ -87,7 +83,6 @@ class ConvergenceRecord:
     consistency_negnorm: float
     D3_continuum: float
     D2_interface_max: float
-    runtime_ms: float
     a_modulus: float
     lambda_min_qnl: float
 
@@ -98,16 +93,14 @@ class ConvergenceRecord:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
-def cosine_load(grid: ChainGrid, frequency: int = 1, amplitude: float = 1.0) -> DeadLoad:
-    """Smooth mirror-symmetric default load f(x) = amplitude * cos(2 pi q x)."""
+def cosine_load(grid: ChainGrid, frequency: int = 1) -> DeadLoad:
+    """Smooth mirror-symmetric default load f(x) = cos(2 pi q x), sampled at
+    x_l = eps*l."""
     x = grid.positions()
-    vals = amplitude * np.cos(2.0 * np.pi * frequency * x)
+    vals = np.cos(2.0 * np.pi * frequency * x)
     vals -= vals.mean()
     vals -= vals.mean()
-    return DeadLoad(
-        PeriodicField(grid, vals, "generic"),
-        source=f"{amplitude:g}*cos(2*pi*{frequency}*x) sampled at x_l = eps*l",
-    )
+    return DeadLoad(PeriodicField(grid, vals, "generic"))
 
 
 def _strain_solution(
@@ -153,19 +146,14 @@ def continuum_norm_sites(region: RegionDecomposition) -> np.ndarray:
 
 
 def interface_window_sites(region: RegionDecomposition) -> list[int]:
-    """Interface diagnostic window {-(K+7)..-K} u {K..K+7} (16 sites), over
-    which the consistency bound takes max |D^2 u|; wider than the four
-    transition atoms +-(K+1), +-(K+2)."""
+    """Interface diagnostic window {-(K+7)..-K} u {K..K+7}, over which the
+    consistency bound takes max |D^2 u|; wider than the four transition atoms
+    +-(K+1), +-(K+2).  A set of site labels, taken modulo the period: 16
+    distinct sites up to K = N-8, and for K > N-8 the window wraps the period
+    and repeats sites (15 distinct at K = N-7, 13 at K = N-6), which leaves
+    the maximum unchanged."""
     K = region.K
     return list(range(-(K + 7), -K + 1)) + list(range(K, K + 8))
-
-
-def fixed_k_rule(K: int) -> Callable[[int], int]:
-    return lambda N: K
-
-
-def power_k_rule(theta: float) -> Callable[[int], int]:
-    return lambda N: int(np.floor(N**theta))
 
 
 def fit_loglog_slope(eps_values: Sequence[float], errors: Sequence[float]) -> float:
@@ -204,15 +192,10 @@ def consistency_point(
     return r_a, negnorm, d3, d2max, q_qnl
 
 
-def convergence_study(
-    p: EAMPotential,
-    F: float,
-    load_generator: Callable[[ChainGrid], DeadLoad],
-    k_rule: Callable[[int], int],
-    n_list: Sequence[int],
-):
-    """Sweep chain sizes, solving both models and recording error and
-    consistency quantities; returns (records, rates).
+def convergence_study(p: EAMPotential, F: float, regions: Sequence[RegionDecomposition]):
+    """Sweep the regions in order, solving both models under the cosine load
+    of each region's grid and recording error and consistency quantities;
+    returns (records, rates).
 
     ``rates`` holds the log-log slopes of the strain error and of the
     residual negative norm against eps, fitted over all points and over the
@@ -224,28 +207,24 @@ def convergence_study(
     """
     records: list[ConvergenceRecord] = []
     lam_min = {}  # per stability_key
-    for n in n_list:
-        start = time.perf_counter()
-        grid = ChainGrid(n)
-        region = RegionDecomposition(n, k_rule(n))
-        load = load_generator(grid)
+    for region in regions:
+        grid = ChainGrid(region.N)
+        load = cosine_load(grid)
         r_a, negnorm, d3, d2max, q_qnl = consistency_point(region, p, F, load)
         r_qnl = _strain_solution(q_qnl, ModelKind.QNL, p, F, load)
         err = norm_l2eps(r_a - PeriodicField(grid, r_qnl))
         key = stability_key(ModelKind.QNL, region)
         if key not in lam_min:
             lam_min[key] = lambda_min(ModelKind.QNL, region, p, F)
-        runtime_ms = (time.perf_counter() - start) * 1e3
         records.append(
             ConvergenceRecord(
-                N=n,
+                N=region.N,
                 K=region.K,
                 epsilon=grid.epsilon,
                 error_H1=err,
                 consistency_negnorm=negnorm,
                 D3_continuum=d3,
                 D2_interface_max=d2max,
-                runtime_ms=runtime_ms,
                 a_modulus=coefficients(p, F).A,
                 lambda_min_qnl=lam_min[key],
             )

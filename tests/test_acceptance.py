@@ -20,7 +20,7 @@ from eamchain.models import (
     force_scale,
     gradient,
 )
-from eamchain.solver import convergence_study, cosine_load, fixed_k_rule
+from eamchain.solver import convergence_study
 from eamchain.stability import (
     coefficients,
     critical_strain,
@@ -50,7 +50,7 @@ def report(num, name, ok, detail, dt, limit):
 def rate_study(default_p):
     start = time.perf_counter()
     records, rates = convergence_study(
-        default_p, 1.0, cosine_load, fixed_k_rule(8), [64, 128, 256, 512, 1024]
+        default_p, 1.0, [RegionDecomposition(n, 8) for n in [64, 128, 256, 512, 1024]]
     )
     return records, rates, time.perf_counter() - start
 

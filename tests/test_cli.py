@@ -137,6 +137,26 @@ def test_config_validation_rules(tmp_path):
     assert run_cli("--command", "spectrum", "--potential", "missing.pot") == 2
 
 
+def test_k_rules():
+    assert ExperimentConfig(command="converge", K=8).k_for(512) == 8
+    power = ExperimentConfig(command="converge", K_rule="power:0.5", N_values=(64, 100))
+    assert power.k_for(64) == 8
+    assert power.k_for(100) == 10
+    assert power.regions() == [RegionDecomposition(64, 8), RegionDecomposition(100, 10)]
+    # remark44's test functions span half the chain, whatever K and the rule say
+    assert ExperimentConfig(command="remark44", K=8, K_rule="power:0.5").k_for(64) == 32
+
+
+@pytest.mark.parametrize("command", ["converge", "consistency", "remark44"])
+def test_single_strain_command_given_two_strains_exits_2(tmp_path, capsys, command):
+    # these tables have no F column; every F after the first used to be dropped
+    out_dir = tmp_path / "out"
+    args = ["--command", command, "--potential", POT, "--F", "1.0,1.1", "--N", "64,128", "--K", "8"]
+    assert run_cli(*args, "--out-dir", str(out_dir)) == 2
+    assert capsys.readouterr().err == f"config error: {command} takes one strain F, got 2\n"
+    assert not out_dir.exists()
+
+
 def test_validate_command_passes(tmp_path, capsys):
     status = run_cli(
         "--command", "validate", "--potential", POT,
@@ -225,24 +245,19 @@ def test_converge_csv_and_plot_script(tmp_path):
     )
     assert status == 0
     lines = (tmp_path / "converge.csv").read_text().strip().splitlines()
-    header = lines[0].split(",")
-    assert header[:8] == [
-        "N", "K", "epsilon", "error_H1", "negnorm", "D3_C", "D2_I_max", "runtime_ms",
+    assert lines[0].split(",") == [
+        "N", "K", "epsilon", "error_H1", "negnorm", "D3_C", "D2_I_max", "A_F", "lambda_min_qnl",
+        "fit_slope_all", "fit_slope_tail",
     ]
-    assert "fit_slope_all" in header and "fit_slope_tail" in header
     assert len(lines) == 4
     assert (tmp_path / "converge_plot.gp").exists()
-    # byte-identical rerun apart from the wall-clock diagnostic column
+    # a second run writes the same bytes
     run_cli(
         "--command", "converge", "--potential", POT,
         "--F", "1.0", "--N", "16,32,64", "--K", "4", "--out-dir", str(tmp_path / "b"),
     )
-    lines_b = (tmp_path / "b" / "converge.csv").read_text().strip().splitlines()
-    drop = header.index("runtime_ms")
-    for row_a, row_b in zip(lines, lines_b):
-        cells_a = [c for i, c in enumerate(row_a.split(",")) if i != drop]
-        cells_b = [c for i, c in enumerate(row_b.split(",")) if i != drop]
-        assert cells_a == cells_b
+    for name in ("converge.csv", "converge_plot.gp"):
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_critical_strain_command(tmp_path):

@@ -27,7 +27,7 @@ from eamchain.potentials import (
     quadratic_embedding,
     shipped_potential,
 )
-from eamchain.solver import consistency_point, convergence_study, cosine_load, fixed_k_rule
+from eamchain.solver import consistency_point, convergence_study, cosine_load
 from eamchain.stability import coefficients, critical_strain, lambda_min
 
 from conftest import random_displacement
@@ -127,7 +127,7 @@ def test_readme_critical_strain_run_evaluates_each_strain_once(monkeypatch, tmp_
 def test_convergence_study_evaluates_the_strain_once(default_p):
     strains = []
     p = counting_potential(default_p, strains)
-    convergence_study(p, 1.0, cosine_load, fixed_k_rule(8), [64, 128, 256, 512, 1024])
+    convergence_study(p, 1.0, [RegionDecomposition(n, 8) for n in [64, 128, 256, 512, 1024]])
     assert strains == [1.0, 2.0]
 
 
@@ -149,7 +149,7 @@ def test_study_points_build_few_strain_hessians(default_p, monkeypatch):
     assert len(builds) <= 2
     builds.clear()
     n_list = [64, 128, 256]
-    convergence_study(default_p, 1.0, cosine_load, fixed_k_rule(K), n_list)
+    convergence_study(default_p, 1.0, [RegionDecomposition(n, K) for n in n_list])
     assert len(builds) <= 2 * len(n_list) + 1
 
 

@@ -24,9 +24,7 @@ from eamchain.solver import (
     convergence_study,
     cosine_load,
     fit_loglog_slope,
-    fixed_k_rule,
     interface_window_sites,
-    power_k_rule,
 )
 from eamchain.stability import coefficients, lambda_min, strain_solver
 
@@ -50,13 +48,12 @@ def test_dead_load_zero_mean_required():
         DeadLoad(PeriodicField(grid, np.ones(16)))
     load = cosine_load(grid)
     assert abs(load.field.values.mean()) <= 1e-14
-    assert "cos" in load.source
 
 
 def test_solve_zero_load(default_p):
     grid = ChainGrid(16)
     region = RegionDecomposition(16, 4)
-    load = DeadLoad(PeriodicField.zeros(grid), source="zero")
+    load = DeadLoad(PeriodicField.zeros(grid))
     u = solve_linearized(ModelKind.ATOMISTIC, region, default_p, 1.0, load)
     assert np.max(np.abs(u.values)) == 0.0
 
@@ -258,6 +255,16 @@ def test_consistency_point_rejects_k_outside_the_experiment_window(default_p, n,
     consistency_point(RegionDecomposition(n, n - 6), default_p, 1.0, cosine_load(ChainGrid(n)))
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_interface_window_wraps_the_period_past_k_n_minus_8(n):
+    # a set of site labels: its 16 sites stay distinct up to K = N-8
+    grid = ChainGrid(n)
+    for k, distinct in ((n - 8, 16), (n - 7, 15), (n - 6, 13)):
+        sites = interface_window_sites(RegionDecomposition(n, k))
+        assert len(sites) == 16
+        assert len({grid.index(site) for site in sites}) == distinct
+
+
 def test_error_equation_and_stability_chain(default_p):
     grid = ChainGrid(64)
     region = RegionDecomposition(64, 8)
@@ -283,9 +290,7 @@ def test_consistency_negnorm_rate_holds_to_large_n(default_p):
 
 
 def test_convergence_study_records_and_rates(default_p):
-    records, rates = convergence_study(
-        default_p, 1.0, cosine_load, fixed_k_rule(8), [32, 64, 128]
-    )
+    records, rates = convergence_study(default_p, 1.0, [RegionDecomposition(n, 8) for n in [32, 64, 128]])
     assert [r.N for r in records] == [32, 64, 128]
     for r in records:
         assert r.K == 8 and r.epsilon == 1.0 / r.N
@@ -299,9 +304,7 @@ def test_convergence_study_records_and_rates(default_p):
 
 def test_pair_potential_study_rate(pair_p):
     # no embedding: the coupled chain reproduces the pair-chain rate
-    _, rates = convergence_study(
-        pair_p, 1.0, cosine_load, fixed_k_rule(8), [64, 128, 256, 512]
-    )
+    _, rates = convergence_study(pair_p, 1.0, [RegionDecomposition(n, 8) for n in [64, 128, 256, 512]])
     assert rates["error_slope_tail"] >= 1.4
 
 
@@ -316,16 +319,8 @@ def test_loglog_slope_of_degenerate_input_is_nan_without_a_warning(eps, errors):
     assert np.isnan(fit_loglog_slope(eps, errors))
 
 
-def test_k_rules():
-    assert fixed_k_rule(8)(512) == 8
-    assert power_k_rule(0.5)(64) == 8
-    assert power_k_rule(0.5)(100) == 10
-
-
 def test_study_norm_quantities_match_definitions(default_p):
-    records, _ = convergence_study(
-        default_p, 1.0, cosine_load, fixed_k_rule(8), [64]
-    )
+    records, _ = convergence_study(default_p, 1.0, [RegionDecomposition(64, 8)])
     r = records[0]
     grid = ChainGrid(64)
     region = RegionDecomposition(64, 8)

@@ -17,7 +17,7 @@ from eamchain.potentials import (
     shipped_potential,
     zero_function,
 )
-from eamchain.solver import convergence_study, cosine_load, fixed_k_rule
+from eamchain.solver import convergence_study
 from eamchain.stability import (
     BracketError,
     StabilityCoefficients,
@@ -270,7 +270,7 @@ def test_qcl_min_eig_equals_modulus(default_p):
 def test_coupled_lambda_min_at_a_f_is_a_f_bit_for_bit(default_p):
     # the far row of the strain Hessian can differ from A_F in the last bit,
     # and a reported lambda_min must not exceed the reported A_F
-    records, _ = convergence_study(default_p, 1.0, cosine_load, fixed_k_rule(8), [64, 128, 256, 512, 1024])
+    records, _ = convergence_study(default_p, 1.0, [RegionDecomposition(n, 8) for n in [64, 128, 256, 512, 1024]])
     assert [r.lambda_min_qnl for r in records] == [r.a_modulus for r in records]
     for f in (0.95, 1.0, 1.02, 1.05, 1.1):
         assert lambda_min(ModelKind.QCL, RegionDecomposition(64, 8), default_p, f) == coefficients(default_p, f).A
