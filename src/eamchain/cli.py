@@ -1,24 +1,24 @@
 """Batch experiment driver: validation, spectra, critical strains, rates.
 
-Configs use the same ``key = value`` grammar as potential files; every
-config key has a matching command-line flag and flags override the file.
-Outputs are CSV tables (UTF-8, '.' decimal, >= 12 significant digits) plus,
-for rate studies, a plain-text gnuplot script.  Every command runs through
-:func:`main`, which loads the potential once, runs the command's runner and
-only then writes the files the runner returned, each atomically: a command
-that fails writes no file, and a command's files are held in memory until
-it completes.  Identical config and seed reproduce the same bytes in every
-file.  The (N, K) of every point comes from :meth:`ExperimentConfig.regions`;
-``converge``, ``consistency`` and ``remark44`` take one strain F.
-``critical-strain`` bisects each distinct problem once, as
-:func:`~eamchain.stability.stability_key` tells them apart: the atomistic
-chain per N, QNL per distinct K and QCL once per run, each F* written on
-every row that shares it.
+Each setting in :data:`SETTINGS` is a config key, in the ``key = value``
+grammar of potential files, and a ``--flag``; flags override the file.  A
+command reads ``command``, ``potential``, ``out_dir`` and the settings
+:data:`READS` lists for it, and any other setting given is a config error.
+K is an integer or ``power:THETA`` (K = floor(N**THETA)); the (N, K) of
+every point comes from :meth:`ExperimentConfig.regions`.  ``converge``,
+``consistency`` and ``remark44`` take one strain F.  ``critical-strain``
+bisects each problem that :func:`~eamchain.stability.stability_key` tells
+apart once.  Outputs are CSV tables (UTF-8, '.' decimal, >= 12 significant
+digits) plus, for rate studies, a gnuplot script.  :func:`main` loads the
+potential once, runs the command's runner and only then writes the files it
+returned, each atomically, so a command that fails writes no file; identical
+config and seed reproduce the same bytes in every file.
 
 Exit status: 0 all invoked checks passed, 1 a validation check failed,
-2 config error (a malformed value; the message names its flag or file:line),
-3 numerical failure (including a potential that is not finite at a strain
-analysed or whose derivatives there are all 0, and running out of memory).
+2 config error (a malformed value or a setting the command does not read;
+the message names its flag or file:line), 3 numerical failure (including a
+potential that is not finite at a strain analysed or whose derivatives
+there are all 0, and running out of memory).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -76,63 +76,45 @@ from .textconfig import ConfigError, parse_kv_lines
 class ExperimentConfig:
     command: str = ""
     potential: str = ""
-    F_values: tuple = (1.0,)
+    F: tuple = (1.0,)
     F_range: tuple | None = None
-    N_values: tuple = (64,)
-    K: int = 8
-    K_rule: str = "fixed"
+    N: tuple = (64,)
+    K: int | str = 8  # or 'power:THETA', K = floor(N**THETA)
     out_dir: str = "out"
     seed: int = 20240
-
-    def k_for(self, n: int) -> int:
-        """K at chain size n: N/2 for remark44, whose test functions span
-        half the chain, else the K rule."""
-        if self.command == "remark44":
-            return n // 2
-        theta = _power_theta(self.K_rule)
-        return self.K if theta is None else int(np.floor(n**theta))
+    given: dict = field(default_factory=dict, repr=False, compare=False)  # setting -> its origin
 
     def regions(self) -> list[RegionDecomposition]:
-        """The region (N, K = :meth:`k_for` N) of every listed N, in order;
-        call after :meth:`validate`, which checks the K window."""
-        return [RegionDecomposition(n, self.k_for(n)) for n in self.N_values]
+        """The region (N, K) of every listed N, in order: K = N/2 for
+        remark44, whose test functions span half the chain, else the K
+        setting.  The one check of the window 0 <= K < N-5."""
+        regions = []
+        for n in self.N:
+            k = n // 2 if self.command == "remark44" else self.K
+            if isinstance(k, str):
+                k = math.floor(n ** float(k.partition(":")[2]))
+            if not 0 <= k < n - 5:
+                raise ConfigError(f"need 0 <= K < N-5 for experiments, got K={k}, N={n}")
+            regions.append(RegionDecomposition(n, k))
+        return regions
 
     def validate(self) -> None:
-        if self.command not in COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r} (choose from {COMMANDS})")
+        if self.command not in RUNNERS:
+            raise ConfigError(f"unknown command {self.command!r} (choose from {tuple(RUNNERS)})")
+        for key, origin in self.given.items():
+            if key not in READS[self.command] + ("command", "potential", "out_dir"):
+                raise ConfigError(f"{origin}: {self.command} does not read {key}")
         if not self.potential:
             raise ConfigError("no potential file given")
-        if not Path(self.potential).is_file():
+        if not os.path.isfile(self.potential):  # False also for a name too long to stat
             raise ConfigError(f"potential file not found: {self.potential}")
-        if list(self.N_values) != sorted(set(self.N_values)):
-            raise ConfigError(f"N list must be strictly increasing, got {self.N_values}")
-        # spectrum is the one command with no coupled region, so no (N, K) pairing
-        if self.command != "spectrum":
-            for n in self.N_values:
-                k = self.k_for(n)
-                if not 0 <= k < n - 5:
-                    raise ConfigError(f"need 0 <= K < N-5 for experiments, got K={k}, N={n}")
+        if list(self.N) != sorted(set(self.N)):
+            raise ConfigError(f"N list must be strictly increasing, got {self.N}")
         if self.command == "critical-strain" and self.F_range is None:
             raise ConfigError("critical-strain needs F_range = lo:hi")
         # their tables hold one strain and have no F column
-        if self.command in ("converge", "consistency", "remark44") and len(self.F_values) > 1:
-            raise ConfigError(f"{self.command} takes one strain F, got {len(self.F_values)}")
-
-
-def _power_theta(rule: str) -> float | None:
-    """THETA of a 'power:THETA' K rule (K = floor(N**THETA)); None for 'fixed'."""
-    if rule == "fixed":
-        return None
-    head, _, text = rule.partition(":")
-    try:
-        theta = float(text) if head == "power" else math.nan
-    except ValueError:
-        theta = math.nan
-    if not 0.0 <= theta <= 1.0:
-        raise ConfigError(
-            f"unknown K_rule {rule!r} (use 'fixed' or 'power:THETA', 0 <= THETA <= 1)"
-        )
-    return theta
+        if self.command in ("converge", "consistency", "remark44") and len(self.F) > 1:
+            raise ConfigError(f"{self.command} takes one strain F, got {len(self.F)}")
 
 
 def _parse_strain(text: str, origin: str) -> float:
@@ -155,41 +137,39 @@ def _parse_int(text: str, origin: str, minimum: int) -> int:
     return value
 
 
+def _parse_range(text: str, origin: str) -> tuple:
+    bracket = tuple(_parse_strain(part, origin) for part in text.split(":"))
+    if len(bracket) != 2 or not bracket[0] < bracket[1]:
+        raise ConfigError(f"{origin}: F_range must be lo:hi with lo < hi, got {text!r}")
+    return bracket
+
+
+def _parse_k(text: str, origin: str) -> int | str:
+    head, colon, theta = text.partition(":")
+    if not colon:
+        return _parse_int(text, origin, 0)
+    try:
+        if head == "power" and 0.0 <= float(theta) <= 1.0:
+            return text
+    except ValueError:
+        pass
+    raise ConfigError(f"{origin}: K must be an integer >= 0 or power:THETA, 0 <= THETA <= 1, got {text!r}")
+
+
+def _parse_out_dir(text: str, origin: str) -> str:
+    try:
+        if any(part.exists() and not part.is_dir() for part in (Path(text), *Path(text).parents)):
+            raise ConfigError(f"{origin}: out_dir {text!r} is or lies under a file")
+    except OSError as exc:  # e.g. a name too long for the file system
+        raise ConfigError(f"{origin}: cannot probe out_dir: {exc.strerror}") from exc
+    return text
+
+
 def _apply_entry(cfg: ExperimentConfig, key: str, value: str, origin: str) -> None:
-    if key == "command":
-        cfg.command = value
-    elif key == "potential":
-        cfg.potential = value
-    elif key == "F":
-        cfg.F_values = tuple(_parse_strain(part, origin) for part in value.split(","))
-    elif key == "F_range":
-        parts = value.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"{origin}: F_range must be lo:hi, got {value!r}")
-        lo, hi = (_parse_strain(part, origin) for part in parts)
-        if not lo < hi:
-            raise ConfigError(f"{origin}: F_range needs lo < hi, got {value!r}")
-        cfg.F_range = (lo, hi)
-    elif key == "N":
-        # ChainGrid needs N >= 4
-        cfg.N_values = tuple(_parse_int(part, origin, 4) for part in value.split(","))
-    elif key == "K":
-        cfg.K = _parse_int(value, origin, 0)
-    elif key == "K_rule":
-        try:
-            _power_theta(value)
-        except ConfigError as exc:
-            raise ConfigError(f"{origin}: {exc}") from exc
-        cfg.K_rule = value
-    elif key == "out_dir":
-        path = Path(value)
-        if any(part.exists() and not part.is_dir() for part in (path, *path.parents)):
-            raise ConfigError(f"{origin}: out_dir {value!r} is or lies under a file")
-        cfg.out_dir = value
-    elif key == "seed":
-        cfg.seed = _parse_int(value, origin, 0)
-    else:
+    if key not in SETTINGS:
         raise ConfigError(f"{origin}: unknown key {key!r}")
+    setattr(cfg, key, SETTINGS[key][0](value, origin))
+    cfg.given[key] = origin
 
 
 # config-file keys that are other names of a setting
@@ -277,6 +257,7 @@ def _identity_deviation(u: PeriodicField) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value shows as a FAIL line
 def _run_validate(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
+    region = cfg.regions()[0]
     rng = np.random.default_rng(cfg.seed)
     checks: list[tuple[str, bool, str]] = []
 
@@ -291,10 +272,9 @@ def _run_validate(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
             worst_id = max(worst_id, _identity_deviation(u))
     checks.append(("strain-identities", worst_id <= 1e-12, f"max rel deviation {worst_id:.3e}"))
 
-    region = cfg.regions()[0]
     grid = ChainGrid(region.N)
     worst_gf = 0.0
-    for f_val in cfg.F_values:
+    for f_val in cfg.F:
         scale = force_scale(p, f_val, grid)
         for model in ModelKind:
             g = gradient(model, region, p, Deformation.uniform(grid, f_val))
@@ -312,7 +292,7 @@ def _run_validate(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
         s -= s.mean()
         return displacement_from_strain(grid, scale * s)
 
-    for f_val in cfg.F_values[:1]:
+    for f_val in cfg.F[:1]:
         for model in ModelKind:
             for _ in range(5):
                 u = strain_scaled(0.05)
@@ -325,7 +305,7 @@ def _run_validate(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
                 worst_fd = np.maximum(worst_fd, abs(paired - fd) / max(abs(fd), 1e-12))
     checks.append(("gradient-vs-energy", worst_fd <= 1e-6, f"max rel deviation {worst_fd:.3e}"))
 
-    for f_val in cfg.F_values:
+    for f_val in cfg.F:
         rep = check_assumptions(p, f_val)
         print(
             f"INFO assumptions at F={f_val:g}: a1={rep.a1_holds} "
@@ -346,14 +326,17 @@ def _run_validate(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
 
 def _run_spectrum(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
     files = {}
-    for f_val in cfg.F_values:
-        for n in cfg.N_values:
+    for f_val in cfg.F:
+        for n in cfg.N:
+            name = f"spectrum_F{f_val:g}_N{n}.csv"
+            if name in files:  # the strains agree to 6 significant digits
+                raise ConfigError(f"F={f_val!r} writes {name}, as an earlier strain does")
             rep = fourier_spectrum(p, f_val, n)
             rows = [
                 [int(k), float(s), float(lam)]
                 for k, s, lam in zip(rep.modes, rep.s_values, rep.eigenvalues)
             ]
-            files[f"spectrum_F{f_val:g}_N{n}.csv"] = _csv_text(["k", "s_k", "lambda_k"], rows)
+            files[name] = _csv_text(["k", "s_k", "lambda_k"], rows)
     return 0, files
 
 
@@ -384,7 +367,7 @@ plot 'converge.csv' using 3:4 skip 1 with linespoints title 'strain error', \\
 def _run_converge(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
     # the tail slopes drop the coarsest N, so they need at least three N (else nan)
     start = time.perf_counter()
-    records, rates = convergence_study(p, cfg.F_values[0], cfg.regions())
+    records, rates = convergence_study(p, cfg.F[0], cfg.regions())
     wall_s = time.perf_counter() - start
     # the record's fields are the leading columns, in order
     rows = [[*astuple(r), rates["error_slope_all"], rates["error_slope_tail"]] for r in records]
@@ -400,7 +383,7 @@ def _run_converge(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
 
 
 def _run_consistency(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
-    f_val = cfg.F_values[0]
+    f_val = cfg.F[0]
     rows = []
     for region in cfg.regions():
         grid = ChainGrid(region.N)
@@ -416,7 +399,7 @@ def _run_consistency(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]
 
 
 def _run_remark44(cfg: ExperimentConfig, p: EAMPotential) -> tuple[int, dict]:
-    f_val = cfg.F_values[0]
+    f_val = cfg.F[0]
     # zone-boundary value of the stability cubic: phi''(F) + 2 G'(rho_bar) rho''(F)
     target = lambda_cubic(coefficients(p, f_val), 4.0)
     rows = []
@@ -447,7 +430,30 @@ RUNNERS = {
     "consistency": _run_consistency,
     "remark44": _run_remark44,
 }
-COMMANDS = tuple(RUNNERS)
+#: Every setting: config key KEY and flag --KEY ('-' for '_') -> (parse(text, origin), help)
+SETTINGS = {
+    "command": (lambda text, origin: text, f"one of {', '.join(RUNNERS)}"),
+    "potential": (lambda text, origin: text, "potential definition file"),
+    "F": (lambda text, origin: tuple(_parse_strain(s, origin) for s in text.split(",")),
+          "strain or comma list of strains"),
+    "F_range": (_parse_range, "bisection bracket lo:hi"),
+    # ChainGrid needs N >= 4
+    "N": (lambda text, origin: tuple(_parse_int(s, origin, 4) for s in text.split(",")),
+          "chain size or comma list"),
+    "K": (_parse_k, "atomistic half-width: an integer, or power:THETA for K = floor(N**THETA)"),
+    "out_dir": (_parse_out_dir, "output directory"),
+    "seed": (lambda text, origin: _parse_int(text, origin, 0), "seed for randomized validation suites"),
+}
+
+#: The settings each command reads; every command also reads command, potential and out_dir
+READS = {
+    "validate": ("F", "N", "K", "seed"),
+    "spectrum": ("F", "N"),
+    "critical-strain": ("F_range", "N", "K"),
+    "converge": ("F", "N", "K"),
+    "consistency": ("F", "N", "K"),
+    "remark44": ("F", "N"),  # K = N/2
+}
 
 
 @functools.cache  # built on first use, not at import, then reused by every main call
@@ -457,15 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chain coupling experiments: validation, spectra, critical strains, rates.",
     )
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--command", choices=COMMANDS)
-    parser.add_argument("--potential", help="potential definition file")
-    parser.add_argument("--F", dest="F", help="strain or comma list of strains")
-    parser.add_argument("--F-range", dest="F_range", help="bisection bracket lo:hi")
-    parser.add_argument("--N", dest="N", help="chain size or comma list")
-    parser.add_argument("--K", dest="K", help="atomistic half-width")
-    parser.add_argument("--K-rule", dest="K_rule", help="'fixed' or 'power:THETA'")
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory")
-    parser.add_argument("--seed", help="seed for randomized validation suites")
+    for key, (_, help_text) in SETTINGS.items():
+        parser.add_argument("--" + key.replace("_", "-"), help=help_text)
     return parser
 
 

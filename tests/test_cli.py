@@ -12,6 +12,7 @@ from eamchain import cli, stability
 from eamchain.cli import ExperimentConfig, load_config, main
 from eamchain.models import ModelKind, RegionDecomposition
 from eamchain.potentials import load_potential_file
+from eamchain.textconfig import ConfigError
 
 POT = str(resources.files("eamchain").joinpath("data", "default_eam.pot"))
 POT_REVERSAL = str(resources.files("eamchain").joinpath("data", "reversal_eam.pot"))
@@ -25,13 +26,13 @@ def run_cli(*args):
 def test_load_config_and_overrides(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
-        f"command = spectrum\npotential = {POT}\nF = 1.0,1.05\nN_list = 8,16\n"
+        f"command = validate\npotential = {POT}\nF = 1.0,1.05\nN_list = 8,16\n"
         f"out_dir = {tmp_path/'out'}\nseed = 7\n"
     )
     cfg = load_config(cfg_file)
-    assert cfg.command == "spectrum"
-    assert cfg.F_values == (1.0, 1.05)
-    assert cfg.N_values == (8, 16)
+    assert cfg.command == "validate"
+    assert cfg.F == (1.0, 1.05)
+    assert cfg.N == (8, 16)
     assert cfg.seed == 7
     cfg.validate()
 
@@ -88,7 +89,7 @@ def test_cli_never_imports_scipy_linalg(tmp_path):
 MALFORMED = [
     ("critical-strain", "F_range", "1.0:abc"),
     ("critical-strain", "F_range", "1.2:1.0"),
-    ("converge", "K_rule", "power:x"),
+    ("converge", "K", "power:x"),
     ("spectrum", "F", "nan"),
     ("spectrum", "F", "-1"),
     ("spectrum", "F", "inf"),
@@ -124,34 +125,44 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, name, content):
     assert f"cannot read config file {path}" in capsys.readouterr().err
 
 
-def test_config_validation_rules(tmp_path):
-    cfg = ExperimentConfig(command="spectrum", potential=POT, N_values=(16, 8))
+def test_config_validation_rules(tmp_path, capsys):
+    cfg = ExperimentConfig(command="spectrum", potential=POT, N=(16, 8))
     with pytest.raises(Exception, match="increasing"):
         cfg.validate()
-    cfg = ExperimentConfig(command="converge", potential=POT, N_values=(16,), K=12)
-    with pytest.raises(Exception, match="K"):
-        cfg.validate()
+    # the K window is checked where the regions are made, and only there
+    cfg = ExperimentConfig(command="converge", potential=POT, N=(16,), K=12)
+    with pytest.raises(ConfigError, match="K"):
+        cfg.regions()
     cfg = ExperimentConfig(command="nonsense", potential=POT)
     with pytest.raises(Exception, match="command"):
         cfg.validate()
     assert run_cli("--command", "spectrum", "--potential", "missing.pot") == 2
+    assert capsys.readouterr().err == "config error: potential file not found: missing.pot\n"
+    # an unknown command takes the config-error path from a flag as from a file
+    out_dir = tmp_path / "out"
+    assert run_cli("--command", "nonsense", "--potential", POT, "--out-dir", str(out_dir)) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown command 'nonsense'")
+    assert not out_dir.exists()
 
 
-def test_k_rules():
-    assert ExperimentConfig(command="converge", K=8).k_for(512) == 8
-    power = ExperimentConfig(command="converge", K_rule="power:0.5", N_values=(64, 100))
-    assert power.k_for(64) == 8
-    assert power.k_for(100) == 10
+def test_k_rules(tmp_path):
+    assert ExperimentConfig(command="converge", K=8, N=(512,)).regions() == [RegionDecomposition(512, 8)]
+    power = ExperimentConfig(command="converge", K="power:0.5", N=(64, 100))
     assert power.regions() == [RegionDecomposition(64, 8), RegionDecomposition(100, 10)]
-    # remark44's test functions span half the chain, whatever K and the rule say
-    assert ExperimentConfig(command="remark44", K=8, K_rule="power:0.5").k_for(64) == 32
+    # remark44's test functions span half the chain, whatever K says
+    assert ExperimentConfig(command="remark44", K="power:0.5", N=(64,)).regions() == [RegionDecomposition(64, 32)]
+    # the flag --K power:0.5 gives the regions of the old rule: K = 8 at N = 64, 10 at N = 100
+    args = ["--command", "consistency", "--potential", POT, "--F", "1.0", "--N", "64,100", "--K", "power:0.5"]
+    assert run_cli(*args, "--out-dir", str(tmp_path)) == 0
+    rows = (tmp_path / "consistency.csv").read_text().splitlines()[1:]
+    assert [tuple(row.split(",")[:2]) for row in rows] == [("64", "8"), ("100", "10")]
 
 
 @pytest.mark.parametrize("command", ["converge", "consistency", "remark44"])
 def test_single_strain_command_given_two_strains_exits_2(tmp_path, capsys, command):
     # these tables have no F column; every F after the first used to be dropped
     out_dir = tmp_path / "out"
-    args = ["--command", command, "--potential", POT, "--F", "1.0,1.1", "--N", "64,128", "--K", "8"]
+    args = ["--command", command, "--potential", POT, "--F", "1.0,1.1", "--N", "64,128"]
     assert run_cli(*args, "--out-dir", str(out_dir)) == 2
     assert capsys.readouterr().err == f"config error: {command} takes one strain F, got 2\n"
     assert not out_dir.exists()
@@ -277,7 +288,7 @@ def test_critical_strain_command(tmp_path):
     "sizes, ks, bisections",
     [
         (["--N", "32,64,128", "--K", "8"], [8, 8, 8], {"atomistic": 3, "qnl": 1, "qcl": 1}),
-        (["--N", "32,35,36,64", "--K-rule", "power:0.5"], [5, 5, 6, 8], {"atomistic": 4, "qnl": 3, "qcl": 1}),
+        (["--N", "32,35,36,64", "--K", "power:0.5"], [5, 5, 6, 8], {"atomistic": 4, "qnl": 3, "qcl": 1}),
     ],
     ids=["fixed-K", "power-rule"],
 )
@@ -369,6 +380,70 @@ def test_out_dir_naming_a_file_exits_2(tmp_path, capsys):
     assert existing.read_text() == "not a directory\n"
 
 
+def test_over_long_out_dir_exits_2(tmp_path, capsys):
+    # probing a 300-character name raised OSError (ENAMETOOLONG) with a traceback
+    out_dir = tmp_path / ("d" * 300)
+    args = ("--command", "spectrum", "--potential", POT, "--N", "8")
+    assert run_cli(*args, "--out-dir", str(out_dir)) == 2
+    assert capsys.readouterr().err == "config error: <flag --out-dir>: cannot probe out_dir: File name too long\n"
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"command = spectrum\npotential = {POT}\nN = 8\nout_dir = {out_dir}\n")
+    assert run_cli("--config", str(cfg_file)) == 2
+    assert capsys.readouterr().err == f"config error: {cfg_file}:4: cannot probe out_dir: File name too long\n"
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+def test_over_long_potential_name_exits_2(tmp_path, capsys):
+    # Path.is_file raised OSError (ENAMETOOLONG) with a traceback
+    pot = str(tmp_path / ("p" * 300))
+    out_dir = tmp_path / "out"
+    assert run_cli("--command", "spectrum", "--potential", pot, "--N", "8", "--out-dir", str(out_dir)) == 2
+    assert capsys.readouterr().err == f"config error: potential file not found: {pot}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "args,setting",
+    [
+        (["--command", "critical-strain", "--F", "1.0,1.1", "--F-range", "1.0:1.15", "--N", "32", "--K", "8"], "F"),
+        (["--command", "remark44", "--K", "3", "--N", "16,32"], "K"),
+        (["--command", "spectrum", "--N", "16", "--K", "99"], "K"),
+        (["--command", "spectrum", "--N", "16", "--F-range", "1.0:1.15"], "F_range"),
+        (["--command", "converge", "--N", "16,32", "--K", "4", "--seed", "3"], "seed"),
+    ],
+    ids=["critical-strain-F", "remark44-K", "spectrum-K", "spectrum-F_range", "converge-seed"],
+)
+def test_setting_the_command_does_not_read_exits_2(tmp_path, capsys, args, setting):
+    # each of these ran, ignored the setting and exited 0
+    out_dir = tmp_path / "out"
+    assert run_cli(*args, "--potential", POT, "--out-dir", str(out_dir)) == 2
+    flag = "--" + setting.replace("_", "-")
+    assert capsys.readouterr().err == f"config error: <flag {flag}>: {args[1]} does not read {setting}\n"
+    assert not out_dir.exists()
+
+
+def test_setting_in_a_config_file_the_command_does_not_read_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"command = spectrum\npotential = {POT}\nN = 16\nK = 8\n")
+    out_dir = tmp_path / "out"
+    assert run_cli("--config", str(cfg_file), "--out-dir", str(out_dir)) == 2
+    assert capsys.readouterr().err == f"config error: {cfg_file}:4: spectrum does not read K\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("strains", ["1.0,1.0000001", "1.0,1.0"])
+def test_spectrum_strains_that_name_one_file_exit_2(tmp_path, capsys, strains):
+    # both strains print as F1, and the second file replaced the first
+    out_dir = tmp_path / "out"
+    args = ["--command", "spectrum", "--potential", POT, "--F", strains, "--N", "16"]
+    assert run_cli(*args, "--out-dir", str(out_dir)) == 2
+    second = repr(float(strains.split(",")[1]))
+    assert capsys.readouterr().err == (
+        f"config error: F={second} writes spectrum_F1_N16.csv, as an earlier strain does\n"
+    )
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "command,value,message",
     [
@@ -383,8 +458,10 @@ def test_non_finite_potential_parameter_exits_2(tmp_path, capsys, command, value
     text = open(POT).read().replace("alpha = 4.0", f"alpha = {value}")
     pot.write_bytes(text.encode("latin-1"))
     out_dir = tmp_path / "out"
-    args = ["--command", command, "--potential", str(pot), "--N", "8", "--K", "2"]
-    assert run_cli(*args, "--F-range", "1.0:1.15", "--out-dir", str(out_dir)) == 2
+    args = ["--command", command, "--potential", str(pot), "--N", "8"]
+    if command == "critical-strain":
+        args += ["--K", "2", "--F-range", "1.0:1.15"]
+    assert run_cli(*args, "--out-dir", str(out_dir)) == 2
     assert f"{pot}: {message}" in capsys.readouterr().err
     assert not out_dir.exists()
 
@@ -392,10 +469,10 @@ def test_non_finite_potential_parameter_exits_2(tmp_path, capsys, command, value
 @pytest.mark.parametrize(
     "command,extra",
     [
-        ("converge", ["--F", "0.5"]),
-        ("consistency", ["--F", "0.5"]),
+        ("converge", ["--F", "0.5", "--K", "4"]),
+        ("consistency", ["--F", "0.5", "--K", "4"]),
         ("spectrum", ["--F", "0.5"]),
-        ("critical-strain", ["--F-range", "0.5:1.0"]),
+        ("critical-strain", ["--F-range", "0.5:1.0", "--K", "4"]),
     ],
 )
 def test_potential_overflowing_at_the_uniform_state_exits_3(tmp_path, capsys, command, extra):
@@ -403,7 +480,7 @@ def test_potential_overflowing_at_the_uniform_state_exits_3(tmp_path, capsys, co
     pot = tmp_path / "steep.pot"
     pot.write_text(open(POT).read().replace("alpha = 4.0", "alpha = 800.0"))
     out_dir = tmp_path / "out"
-    args = ["--command", command, "--potential", str(pot), "--N", "16,32", "--K", "4", *extra]
+    args = ["--command", command, "--potential", str(pot), "--N", "16,32", *extra]
     assert run_cli(*args, "--out-dir", str(out_dir)) == 3
     err = capsys.readouterr().err
     assert "potential 'default-eam'" in err and "F=0.5" in err and str(pot) in err
@@ -420,11 +497,11 @@ def _steep_potential(tmp_path):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "command,extra",
-    [("spectrum", ["--F", "0.5"]), ("critical-strain", ["--F-range", "0.5:1.0"])],
+    [("spectrum", ["--F", "0.5"]), ("critical-strain", ["--F-range", "0.5:1.0", "--K", "4"])],
 )
 def test_overflow_exits_3_without_a_warning(tmp_path, capsys, command, extra):
     pot = _steep_potential(tmp_path)
-    args = ["--command", command, "--potential", pot, "--N", "16", "--K", "4", *extra]
+    args = ["--command", command, "--potential", pot, "--N", "16", *extra]
     assert run_cli(*args, "--out-dir", str(tmp_path / "out")) == 3
     assert "non-finite" in capsys.readouterr().err
 
