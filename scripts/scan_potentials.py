@@ -31,14 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from eamchain.potentials import (
-    EAMPotential,
-    check_assumptions,
-    expdecay_density,
-    morse_pair,
-    quadratic_embedding,
-)
-from eamchain.stability import coefficients
+from eamchain.potentials import EAMPotential, expdecay_density, morse_pair, quadratic_embedding
+from eamchain.stability import check_assumptions, coefficients
 
 F_WINDOW = np.round(np.arange(0.95, 1.1501, 0.005), 10)
 ALPHA = 4.0

@@ -8,9 +8,10 @@ the stencil into its Fourier symbol
 
     Q(theta) = q_0 + 2 q_1 cos(theta) + 2 q_2 cos(2 theta) + 2 q_3 cos(3 theta),
 
-and rewrites the symbol as a cubic in s = 2 - 2 cos(theta).  The cubic's
-coefficients are the closed forms implemented in eamchain.stability; their
-values for the default material at F = 1 are frozen into the test suite.
+and rewrites the symbol as a cubic in s = 2 - 2 cos(theta).  eamchain.stability
+reads the same symbol off its compiled strain-Hessian basis (the atomistic
+far row); the values for the default material at F = 1 are frozen into the
+test suite and checked against the library in CI.
 
 Needs sympy (pre-installed in the dev environment, not a package
 dependency).  Run from the repo root:

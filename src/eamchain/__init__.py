@@ -1,13 +1,12 @@
 """Periodic EAM chain with quasi-nonlocal and local quasicontinuum couplings.
 
 Library layout: :mod:`~eamchain.lattice` (grids, fields, difference
-operators, norms), :mod:`~eamchain.potentials`
-(scalar potential triples and assumption checks), :mod:`~eamchain.models`
-(the three chain energies with exact gradients and strain Hessians),
-:mod:`~eamchain.stability` (stability coefficients, spectra, critical
-strains), :mod:`~eamchain.solver` (linearized strain solves, consistency
-negative norms, rate studies), and :mod:`~eamchain.cli` (batch experiment
-driver).
+operators, norms), :mod:`~eamchain.potentials` (scalar potential triples),
+:mod:`~eamchain.models` (the three chain energies with exact gradients and
+strain Hessians), :mod:`~eamchain.stability` (the stability cubic and its
+assumption checks, spectra, critical strains), :mod:`~eamchain.solver`
+(linearized strain solves, consistency negative norms, rate studies), and
+:mod:`~eamchain.cli` (batch experiment driver).
 """
 
 from .lattice import (
@@ -28,10 +27,8 @@ from .models import (
     gradient,
 )
 from .potentials import (
-    AssumptionReport,
     EAMPotential,
     ScalarFunctionC2,
-    check_assumptions,
     load_potential_file,
     shipped_potential,
     validate_derivatives,
@@ -44,9 +41,11 @@ from .solver import (
     cosine_load,
 )
 from .stability import (
+    AssumptionReport,
     BracketError,
     SpectrumReport,
     StabilityCoefficients,
+    check_assumptions,
     coefficients,
     critical_strain,
     fourier_spectrum,

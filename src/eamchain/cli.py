@@ -47,7 +47,6 @@ from .models import (
 from .potentials import (
     EAMPotential,
     NonFiniteError,
-    check_assumptions,
     load_potential_file,
     validate_derivatives,
 )
@@ -61,6 +60,7 @@ from .solver import (
 )
 from .stability import (
     BracketError,
+    check_assumptions,
     coefficients,
     critical_strain,
     fourier_spectrum,

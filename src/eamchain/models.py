@@ -111,14 +111,6 @@ class RegionDecomposition:
         if not 0 <= self.K < self.N - 2:
             raise ValueError(f"need 0 <= K < N-2, got K={self.K}, N={self.N}")
 
-    def classify(self, site: int) -> str:
-        l = ((site + self.N - 1) % (2 * self.N)) - self.N + 1
-        if abs(l) <= self.K:
-            return "atomistic"
-        if abs(l) in (self.K + 1, self.K + 2):
-            return "quasi-nonlocal"
-        return "continuum"
-
 
 @dataclass(frozen=True)
 class Deformation:
@@ -445,15 +437,14 @@ def _core_basis(kind: ModelKind, K: int) -> np.ndarray:
     return basis
 
 
-def _uniform_scalars(p: EAMPotential, F: float) -> np.ndarray:
+def _uniform_scalars(p: EAMPotential, F: float) -> tuple:
     """phi''(F), phi''(2F), G' rho''(F), G' rho''(2F), G'' rho'(F)^2,
     G'' rho'(F) rho'(2F) and G'' rho'(2F)^2 at y_F, where every group of
     every template has the density 2 rho(F) + 2 rho(2F).  Raises ValueError
-    unless 0 < F < inf, NonFiniteError if they are not finite or all 0."""
+    unless 0 < F < inf.  The values may be non-finite; each caller checks
+    them."""
     phi2, phi2_2, r1, r1_2, r2, r2_2, g1, g2 = _uniform_derivatives(p, F)
-    scalars = (phi2, phi2_2, g1 * r2, g1 * r2_2, g2 * r1 * r1, g2 * r1 * r1_2, g2 * r1_2 * r1_2)
-    require_finite(p, F, "strain Hessian", scalars)
-    return np.array(scalars)
+    return (phi2, phi2_2, g1 * r2, g1 * r2_2, g2 * r1 * r1, g2 * r1 * r1_2, g2 * r1_2 * r1_2)
 
 
 def strain_hessian(
@@ -473,11 +464,13 @@ def strain_hessian(
     is the 2K+4 rows around the QNL atomistic region (none for the other
     models), with ``core_bands.T`` its block in LAPACK lower band storage;
     every other row is the far row: A_F I for a coupled model (``far[0]`` is
-    A_F to rounding), the circulant row for the atomistic chain.  No model
+    bitwise the A of ``stability.coefficients``), the circulant row, whose
+    symbol is the stability cubic, for the atomistic chain.  No model
     has a ghost force at a uniform state, so ``Q 1 = A_F 1`` (A_F the
     continuum modulus).  NonFiniteError if the scalars are not finite or all 0.
     """
     scalars = _uniform_scalars(p, F)
+    require_finite(p, F, "strain Hessian", scalars)
     K = region.K if model == ModelKind.QNL else -2  # a core of 2K+4 = 0 rows
     bands = (_core_basis(model, min(K, 2)) @ scalars).reshape(-1, STRAIN_HALF_BANDWIDTH + 1)
     m, h = 2 * K + 4, (len(bands) - 1) // 2

@@ -1,4 +1,4 @@
-"""Scalar potential functions (pair, electron density, embedding) and checks.
+"""Scalar potential functions (pair, electron density, embedding).
 
 An EAM potential is a triple of C^2 scalar functions: the pair interaction
 ``phi``, the per-neighbor electron density ``rho``, and the embedding energy
@@ -10,14 +10,6 @@ parametric families are parseable from definition files:
 * ``quadratic``  embedding:  G(d)   = c0/2 * d^2 - c1 * d
 
 plus a ``zero`` tag for degenerate members (pure pair chains and the like).
-
-The module also evaluates the sign conditions the stability analysis
-assumes: the pair/density/embedding curvature signs (a1), nonnegativity of
-the second-difference stability coefficient (a2), and the strict local
-dominance condition under which the fully local model is the more stable
-one (a3).  The conditions are checked at a single strain F; validity over an
-interval is established by scanning (see scripts/scan_potentials.py) and
-recorded per shipped potential in STABLE_RANGES.
 """
 
 from __future__ import annotations
@@ -35,8 +27,6 @@ from .textconfig import ConfigError, parse_kv_lines
 __all__ = [
     "ScalarFunctionC2",
     "EAMPotential",
-    "AssumptionReport",
-    "check_assumptions",
     "validate_derivatives",
     "morse_pair",
     "expdecay_density",
@@ -51,9 +41,10 @@ __all__ = [
     "require_finite",
 ]
 
-#: Documented strain ranges on which check_assumptions(...).a1_holds is true
-#: for the shipped potentials (and a2 also holds for "default-eam").  These
-#: were established by scripts/scan_potentials.py and are asserted in tests.
+#: Documented strain ranges on which stability.check_assumptions(...).a1_holds
+#: is true for the shipped potentials (and a2 also holds for "default-eam").
+#: These were established by scripts/scan_potentials.py and are asserted in
+#: tests.
 STABLE_RANGES = {
     "default-eam": (0.95, 1.15),
     "reversal-eam": (0.95, 1.15),
@@ -92,7 +83,6 @@ class ScalarFunctionC2:
     eval: Callable[[float], float]
     d1: Callable[[float], float]
     d2: Callable[[float], float]
-    label: str = ""
 
     def __call__(self, r: float) -> float:
         return self.eval(r)
@@ -108,21 +98,6 @@ class EAMPotential:
     name: str = ""
     #: memo of :func:`_uniform_derivatives` by strain; not part of the value
     _uniform: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Sign conditions for the stability analysis, evaluated at one strain.
-
-    ``raw`` maps each tested quantity to its value; the booleans are exactly
-    the signs of those values (a report is a pure function of (p, F)).
-    """
-
-    F: float
-    a1_holds: bool
-    a2_holds: bool
-    a3_holds: bool
-    raw: dict
 
 
 def morse_pair(alpha: float) -> ScalarFunctionC2:
@@ -141,7 +116,7 @@ def morse_pair(alpha: float) -> ScalarFunctionC2:
             -alpha * (r - 1)
         )
 
-    return ScalarFunctionC2(f, f1, f2, f"morse(alpha={alpha:g})")
+    return ScalarFunctionC2(f, f1, f2)
 
 
 def expdecay_density(beta: float) -> ScalarFunctionC2:
@@ -156,7 +131,7 @@ def expdecay_density(beta: float) -> ScalarFunctionC2:
     def f2(r: float) -> float:
         return beta**2 * np.exp(-beta * (r - 1))
 
-    return ScalarFunctionC2(f, f1, f2, f"expdecay(beta={beta:g})")
+    return ScalarFunctionC2(f, f1, f2)
 
 
 def quadratic_embedding(c0: float, c1: float) -> ScalarFunctionC2:
@@ -171,13 +146,13 @@ def quadratic_embedding(c0: float, c1: float) -> ScalarFunctionC2:
     def f2(d: float) -> float:
         return np.full_like(d, c0, dtype=float)[()]
 
-    return ScalarFunctionC2(f, f1, f2, f"quadratic(c0={c0:g}, c1={c1:g})")
+    return ScalarFunctionC2(f, f1, f2)
 
 
 def zero_function() -> ScalarFunctionC2:
     """Identically zero member (e.g. no embedding term)."""
     zero = lambda r: np.zeros_like(r, dtype=float)[()]  # noqa: E731
-    return ScalarFunctionC2(zero, zero, zero, "zero")
+    return ScalarFunctionC2(zero, zero, zero)
 
 
 #: Parseable families by role, in the order of :class:`EAMPotential`'s
@@ -233,53 +208,6 @@ def _uniform_derivatives(p: EAMPotential, F: float) -> tuple:
             memo.clear()
         memo[F] = values = tuple(map(float, values))
     return values
-
-
-def _minus_b(phi2_2F, r1F, r12F, r22F, g1, g2):  # -B of stability.coefficients; a2 tests its sign
-    return phi2_2F + g2 * (r1F**2 + 20 * r12F**2 + 12 * r1F * r12F) + 2 * g1 * r22F
-
-
-def check_assumptions(p: EAMPotential, F: float) -> AssumptionReport:
-    """Evaluate the a1 / a2 / a3 sign conditions at strain F.
-
-    a1 collects the curvature signs of the three functions at F and 2F; a2
-    is nonnegativity of the stability coefficient B_F (tested as -B_F <= 0);
-    a3 is the strict inequality under which the local model out-stabilizes
-    the atomistic chain (and which is incompatible with a2).
-    """
-    # numpy floats, so a value that overflows is reported, not raised
-    phi2_F, phi2_2F, rho1_F, rho1_2F, rho2_F, rho2_2F, g1, g2 = map(np.float64, _uniform_derivatives(p, F))
-    neg_b = _minus_b(phi2_2F, rho1_F, rho1_2F, rho2_2F, g1, g2)
-    a3_value = phi2_2F + g2 * (rho1_F + 2 * rho1_2F) ** 2 + 2 * g1 * rho2_2F
-
-    raw = {
-        "phi_dd_F": phi2_F,
-        "phi_dd_2F": phi2_2F,
-        "rho_d_F": rho1_F,
-        "rho_d_2F": rho1_2F,
-        "rho_dd_F": rho2_F,
-        "rho_dd_2F": rho2_2F,
-        "G_d": g1,
-        "G_dd": g2,
-        "minus_B": neg_b,
-        "a3_lhs": a3_value,
-    }
-    a1 = (
-        phi2_F > 0
-        and phi2_2F < 0
-        and rho1_F <= 0
-        and rho1_2F <= 0
-        and rho2_F >= 0
-        and rho2_2F >= 0
-        and g2 >= 0
-    )
-    return AssumptionReport(
-        F=F,
-        a1_holds=bool(a1),
-        a2_holds=bool(neg_b <= 0),
-        a3_holds=bool(a3_value > 0),
-        raw=raw,
-    )
 
 
 def validate_derivatives(

@@ -225,7 +225,7 @@ def convergence_study(p: EAMPotential, F: float, regions: Sequence[RegionDecompo
                 consistency_negnorm=negnorm,
                 D3_continuum=d3,
                 D2_interface_max=d2max,
-                a_modulus=coefficients(p, F).A,
+                a_modulus=q_qnl.far[0],
                 lambda_min_qnl=lam_min[key],
             )
         )

@@ -1,4 +1,4 @@
-"""Lattice stability of the uniform state: closed forms and numerics.
+"""Lattice stability of the uniform state: the stability cubic and numerics.
 
 At the uniform state the atomistic second variation diagonalizes in the
 strain Fourier basis: its eigenvalues with respect to the ``||Du||`` metric
@@ -6,11 +6,13 @@ are values of a cubic
 
     lambda_F(s) = A_F + B_F s + C_F s^2 + D_F s^3,   s_k = 4 sin^2(k pi / 2N),
 
-whose coefficients are closed-form combinations of the potential's
-derivatives at strains F and 2F, evaluated once per potential and strain.
-s_k grows with k, so the smallest lambda_F(s_k) lies at k = 1, at k = N or
-beside a critical point of the cubic, and a few modes decide atomistic
-stability at any N.  The quasi-nonlocal and local couplings are not
+the symbol of the atomistic strain Hessian's circulant row.  Its
+coefficients are read off the compiled basis of that row
+(:func:`eamchain.models.strain_hessian`), linear in seven scalars of the
+potential at strains F and 2F, so A_F is the coupled models' far row bit
+for bit.  s_k grows with k, so the smallest lambda_F(s_k) lies at k = 1, at
+k = N or beside a critical point of the cubic, and a few modes decide
+atomistic stability at any N.  The quasi-nonlocal and local couplings are not
 translation invariant.  With H = D^T Q D, their smallest eigenvalue of
 H u = lambda L u on zero-mean displacements (L the operator of the
 squared-strain metric) is that of the strain Hessian Q on zero-sum strains
@@ -19,6 +21,14 @@ Du.  Continuum atoms couple no two bonds, so Q is a core block on 2K+4 rows
 at a cost independent of N, whether lambda < lambda_min <= A_F, and
 deterministic bisection on that test finds lambda_min and critical strains.
 Only a solve (:func:`strain_solver`, which reads the operator alone) costs O(N).
+
+The module also evaluates the sign conditions the stability analysis
+assumes (:func:`check_assumptions`): the pair/density/embedding curvature
+signs (a1), B_F >= 0 (a2), and the strict local dominance condition
+A_F > lambda_F(4) under which the fully local model is the more stable one
+(a3).  The conditions are checked at a single strain F; validity over an
+interval is established by scanning (see scripts/scan_potentials.py) and
+recorded per shipped potential in ``potentials.STABLE_RANGES``.
 
 The banded Cholesky is LAPACK's ``dpbtrf``/``dpbtrs`` from scipy's own f2py
 extension ``scipy.linalg._flapack``, loaded from its file at import without
@@ -39,11 +49,21 @@ import numpy as np
 import numpy.fft  # numpy loads it on first use; strain_solver needs it, so load it at import
 
 from .lattice import ChainGrid, PeriodicField, diff, norm_l2eps
-from .models import ModelKind, RegionDecomposition, SymmetricBandedOperator, _band_apply, strain_hessian
-from .potentials import EAMPotential, _minus_b, _uniform_derivatives, require_finite
+from .models import (
+    ModelKind,
+    RegionDecomposition,
+    SymmetricBandedOperator,
+    _band_apply,
+    _core_basis,
+    _uniform_scalars,
+    strain_hessian,
+)
+from .potentials import EAMPotential, _uniform_derivatives, require_finite
 
 __all__ = [
     "StabilityCoefficients",
+    "AssumptionReport",
+    "check_assumptions",
     "SpectrumReport",
     "BracketError",
     "coefficients",
@@ -85,23 +105,31 @@ class BracketError(ValueError):
 class StabilityCoefficients:
     """Coefficients of the stability cubic at strain F.
 
-    ``A_hat`` is the embedding contribution to the continuum elastic
-    modulus, ``A_tilde`` the pair contribution; A = A_hat + A_tilde by
-    construction.  Under the a1 sign conditions, C >= 0 >= D and
-    8|D| <= C, which makes lambda_F nondecreasing on [0, 4] whenever
-    B >= 0 (the a2 condition).
+    A is the continuum elastic modulus A_F.  Under the a1 sign conditions,
+    C >= 0 >= D and 8|D| <= C, which makes lambda_F nondecreasing on [0, 4]
+    whenever B >= 0 (the a2 condition).
     """
 
     F: float
-    A_hat: float
-    A_tilde: float
+    A: float
     B: float
     C: float
     D: float
 
-    @property
-    def A(self) -> float:
-        return self.A_hat + self.A_tilde
+
+@dataclass(frozen=True)
+class AssumptionReport:
+    """Sign conditions for the stability analysis, evaluated at one strain.
+
+    ``raw`` maps each tested quantity to its value; the booleans are exactly
+    the signs of those values (a report is a pure function of (p, F)).
+    """
+
+    F: float
+    a1_holds: bool
+    a2_holds: bool
+    a3_holds: bool
+    raw: dict
 
 
 @dataclass(frozen=True)
@@ -121,24 +149,52 @@ class SpectrumReport:
     min_mode: int
 
 
+#: (A, B, C, D) of the cubic in s = 2 - 2 cos(theta) from the bands q0..q3 of
+#: a circulant strain row, whose symbol is q0 + 2 sum_d q_d cos(d theta).
+_SYMBOL = np.array([[1, 2, 2, 2], [0, -1, -4, -9], [0, 0, 1, 6], [0, 0, 0, -1]], dtype=float)
+
+#: (A, B, C, D) as linear maps of the seven scalars of
+#: :func:`eamchain.models._uniform_scalars`: the symbol of the atomistic far
+#: row.  Exact small integers; row A is the far-row diagonal of QNL and QCL.
+_CUBIC = _SYMBOL @ _core_basis(ModelKind.ATOMISTIC, -2)
+
+
 def coefficients(p: EAMPotential, F: float) -> StabilityCoefficients:
-    """Closed-form stability coefficients of the atomistic chain at F.
+    """Stability coefficients of the atomistic chain at F, one product of
+    ``_CUBIC`` with the scalars, so A is the coupled ``far[0]`` bit for bit.
 
     Embedding derivatives are evaluated at the uniform summed density
-    2 rho(F) + 2 rho(2F).  For a pure pair potential only A_tilde survives.
-    Raises NonFiniteError if a coefficient is not finite or every one is 0.
+    2 rho(F) + 2 rho(2F).  Raises NonFiniteError if a scalar is not finite
+    (every scalar enters A) or every one is 0.
     """
-    phi2_F, phi2_2F, r1F, r12F, r2F, r22F, g1, g2 = _uniform_derivatives(p, F)
-    try:
-        a_hat = 4 * g2 * (r1F + 2 * r12F) ** 2 + 2 * g1 * (r2F + 4 * r22F)
-        a_tilde = phi2_F + 4 * phi2_2F
-        b = -_minus_b(phi2_2F, r1F, r12F, r22F, g1, g2)
-        c = g2 * (8 * r12F**2 + 2 * r1F * r12F)
-        d = -g2 * r12F**2
-    except OverflowError:  # a float square overflowed: a coefficient is not finite
-        a_hat = a_tilde = b = c = d = math.inf
-    require_finite(p, F, "stability coefficient", (a_hat, a_tilde, b, c, d))
-    return StabilityCoefficients(F=F, A_hat=a_hat, A_tilde=a_tilde, B=b, C=c, D=d)
+    scalars = _uniform_scalars(p, F)
+    require_finite(p, F, "stability coefficient", scalars)
+    a, b, c, d = (_CUBIC @ scalars).tolist()
+    return StabilityCoefficients(F=F, A=a, B=b, C=c, D=d)
+
+
+def check_assumptions(p: EAMPotential, F: float) -> AssumptionReport:
+    """Evaluate the a1 / a2 / a3 sign conditions at strain F.
+
+    a1 collects the curvature signs of the three functions at F and 2F; a2
+    is B_F >= 0 (tested as -B_F <= 0); a3 is A_F > lambda_F(4), tested as
+    -(B_F + 4 C_F + 16 D_F) = (A_F - lambda_F(4)) / 4 > 0, the strict
+    inequality under which the local model out-stabilizes the atomistic
+    chain (and which is incompatible with a2).  Values that overflow are
+    reported, not raised: a scalar that is not finite enters only the
+    coefficients it has a weight in, as 0 * inf is nan.
+    """
+    derivatives = _uniform_derivatives(p, F)
+    scalars = _uniform_scalars(p, F)
+    if all(map(math.isfinite, scalars)):
+        _, b, c, d = (_CUBIC @ scalars).tolist()
+    else:
+        _, b, c, d = (sum(w * v for w, v in zip(row, scalars) if w) for row in _CUBIC.tolist())
+    names = ("phi_dd_F", "phi_dd_2F", "rho_d_F", "rho_d_2F", "rho_dd_F", "rho_dd_2F", "G_d", "G_dd")
+    raw = {**dict(zip(names, derivatives)), "minus_B": -b, "a3_lhs": -(b + 4 * c + 16 * d)}
+    phi2_F, phi2_2F, rho1_F, rho1_2F, rho2_F, rho2_2F, _, g2 = derivatives
+    a1 = phi2_F > 0 > phi2_2F and rho1_F <= 0 and rho1_2F <= 0 and rho2_F >= 0 and rho2_2F >= 0 and g2 >= 0
+    return AssumptionReport(F, a1_holds=a1, a2_holds=raw["minus_B"] <= 0, a3_holds=raw["a3_lhs"] > 0, raw=raw)
 
 
 def lambda_cubic(c: StabilityCoefficients, s: float) -> float:
@@ -229,14 +285,15 @@ def strain_solver(q: SymmetricBandedOperator):
     """Solve with the strain Hessian ``q`` by the method its form allows, or
     None if ``q`` is not positive definite; ``q`` is not changed.  A circulant
     far row with no core (the atomistic chain) is solved by FFT: mode k has
-    eigenvalue a + s (b + c s + d s^2), s = 4 sin^2(k pi / n), a to d sums of
-    the row's bands.  A diagonal far row is far[0] I off the core block (the
-    coupled models): definite when far[0] > 0 and the block's Cholesky succeeds."""
-    n, (q0, q1, q2, q3) = q.n, q.far
+    eigenvalue a + s (b + c s + d s^2), s = 4 sin^2(k pi / n), (a, b, c, d)
+    the row's symbol ``_SYMBOL @ far``.  A diagonal far row is far[0] I off
+    the core block (the coupled models): definite when far[0] > 0 and the
+    block's Cholesky succeeds."""
+    n, q0 = q.n, q.far[0]
     if q.far[1:].any():
-        a = q0 + 2 * (q1 + q2 + q3)
+        a, b, c, d = _SYMBOL @ q.far
         s = 4.0 * np.sin(np.arange(n // 2 + 1) * np.pi / n) ** 2
-        excess = s * (-(q1 + 4 * q2 + 9 * q3) + (q2 + 6 * q3) * s - q3 * s**2)
+        excess = s * (b + c * s + d * s**2)
         if not np.all(a + excess > 0):
             return None
         # 1/lambda = 1/a - (lambda - a) / (lambda a): the FFT carries only
@@ -285,7 +342,7 @@ def lambda_min(model: ModelKind, region: RegionDecomposition, p: EAMPotential, F
     if model == ModelKind.ATOMISTIC:
         return _atomistic_min(coefficients(p, F), region.N)
     q = strain_hessian(model, region, p, F)
-    a_f = coefficients(p, F).A
+    a_f = q.far[0]
     found = _core_min_eig(q.core_bands.T, a_f - 1e-14 * max(1.0, abs(a_f))) if len(q.core) else None
     return a_f if found is None else found
 

@@ -71,23 +71,15 @@ def _reflect(table):
 def _loop_site_tables(kind: ModelKind, N: int, K: int):
     """Per-site term tables with bond labels resolved to array indices."""
     grid = ChainGrid(N)
-    if kind == ModelKind.QNL:
-        region = RegionDecomposition(N, K)
-
     resolved = []
     for l in range(-N + 1, N + 1):
-        if kind == ModelKind.ATOMISTIC:
+        # QNL: atomistic |l| <= K, transition |l| = K+1, K+2, continuum beyond
+        if kind == ModelKind.ATOMISTIC or (kind == ModelKind.QNL and abs(l) <= K):
             table = _atom_table(l)
-        elif kind == ModelKind.QCL:
-            table = _continuum_table(l)
+        elif kind == ModelKind.QNL and abs(l) <= K + 2:
+            table = _transition_table(l) if l > 0 else _reflect(_transition_table(-l))
         else:
-            tag = region.classify(l)
-            if tag == "atomistic":
-                table = _atom_table(l)
-            elif tag == "quasi-nonlocal":
-                table = _transition_table(l) if l > 0 else _reflect(_transition_table(-l))
-            else:
-                table = _continuum_table(l)
+            table = _continuum_table(l)
         resolved.append(
             tuple(
                 (w, tuple((c, tuple(grid.index(b) for b in bonds)) for c, bonds in terms))

@@ -5,9 +5,14 @@ import pytest
 
 from eamchain.lattice import ChainGrid, PeriodicField, diff, norm_l2eps
 from eamchain.models import (
+    _ATOM,
+    _CONTINUUM,
+    _MIRROR,
+    _TRANSITION,
     Deformation,
     ModelKind,
     RegionDecomposition,
+    _region_classes,
     energy,
     force_scale,
     gradient,
@@ -28,16 +33,21 @@ from oracles import (
 
 
 def test_region_decomposition_classification():
-    region = RegionDecomposition(16, 4)
-    assert region.classify(0) == "atomistic"
-    assert region.classify(-4) == "atomistic"
-    assert region.classify(5) == "quasi-nonlocal"
-    assert region.classify(-6) == "quasi-nonlocal"
-    assert region.classify(7) == "continuum"
-    assert region.classify(16) == "continuum"
-    # partition and mirror symmetry over one period
-    for l in range(-15, 17):
-        assert region.classify(l) == region.classify(-l) or abs(l) == 16
+    # the runs of region classes that energies, gradients and the Hessian
+    # basis use, by site label l = array index - (N - 1)
+    N, K = 16, 4
+    template = {}
+    for t, start, length in _region_classes(ModelKind.QNL, N, K):
+        template.update((i - N + 1, t) for i in range(start, start + length))
+    assert sorted(template) == list(range(-N + 1, N + 1))  # a partition of one period
+    assert all(template[l] is _ATOM for l in range(-K, K + 1))
+    assert template[5] is template[6] is _TRANSITION
+    assert template[-5] is template[-6] is _MIRROR
+    assert all(template[l] is _CONTINUUM for l in template if abs(l) > K + 2)
+    # mirror symmetry: the transition atom -l carries the reflection of l's table
+    mirror = {_TRANSITION: _MIRROR, _MIRROR: _TRANSITION}
+    for l in range(-15, 16):
+        assert mirror.get(template[-l], template[-l]) is template[l]
     with pytest.raises(ValueError):
         RegionDecomposition(16, 14)
     RegionDecomposition(16, 0)  # empty-core region is allowed

@@ -10,7 +10,6 @@ from eamchain.potentials import (
     EAMPotential,
     NonFiniteError,
     ScalarFunctionC2,
-    check_assumptions,
     expdecay_density,
     load_potential_file,
     morse_pair,
@@ -20,7 +19,7 @@ from eamchain.potentials import (
     validate_derivatives,
     zero_function,
 )
-from eamchain.stability import coefficients
+from eamchain.stability import check_assumptions, coefficients
 from eamchain.textconfig import ConfigError
 
 PROBE = np.arange(0.8, 2.41, 0.1)
@@ -83,9 +82,8 @@ def test_assumption_booleans_match_raw_signs(default_p):
 
 @pytest.mark.parametrize("name", ["default-eam", "reversal-eam", "pair-morse"])
 def test_a2_is_the_sign_of_the_stability_cubic_b(name):
-    # the assumption report evaluates the formula of the stability
-    # coefficients on numpy floats; a2 (-B <= 0) must test the same number
-    # bit for bit
+    # the assumption report reads B off the same product as the stability
+    # coefficients; a2 (-B <= 0) must test the same number bit for bit
     p = shipped_potential(name)
     for F in (i / 100 for i in range(80, 131)):
         assert check_assumptions(p, F).raw["minus_B"] == -coefficients(p, F).B, F

@@ -182,7 +182,7 @@ def test_consistency_residual_support_and_scaling(default_p):
         assert max(abs(t[l]) for l in deep_core) == 0.0
         nonzero = [l for l in grid.sites() if abs(t[l]) > 1e-13]
         far = [
-            l for l in nonzero if l not in iface_band and region.classify(l) != "continuum"
+            l for l in nonzero if l not in iface_band and abs(l) <= region.K + 2
         ]
         assert far == []
         assert len([l for l in nonzero if l in iface_band]) <= 18

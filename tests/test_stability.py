@@ -22,6 +22,7 @@ from eamchain.stability import (
     BracketError,
     StabilityCoefficients,
     _atomistic_min,
+    check_assumptions,
     coefficients,
     critical_strain,
     fourier_spectrum,
@@ -55,8 +56,8 @@ SYMBOLIC_F1 = {
 def test_coefficients_pair_only(default_p):
     pair_only = EAMPotential(default_p.pair, zero_function(), zero_function())
     c = coefficients(pair_only, 1.02)
-    assert c.A_hat == 0.0 and c.C == 0.0 and c.D == 0.0
-    assert c.A_tilde == pytest.approx(
+    assert c.C == 0.0 and c.D == 0.0
+    assert c.A == pytest.approx(
         pair_only.pair.d2(1.02) + 4 * pair_only.pair.d2(2.04), rel=1e-15
     )
     # B reduces to -phi''(2F)
@@ -67,7 +68,8 @@ def test_coefficients_constant_density(default_p):
     const_rho = ScalarFunctionC2(lambda r: 1.0, lambda r: 0.0, lambda r: 0.0)
     p = EAMPotential(default_p.pair, const_rho, default_p.embedding)
     c = coefficients(p, 1.1)
-    assert c.A_hat == 0.0 and c.C == 0.0 and c.D == 0.0
+    assert c.C == 0.0 and c.D == 0.0
+    assert c.A == pytest.approx(p.pair.d2(1.1) + 4 * p.pair.d2(2.2), rel=1e-15)
     assert c.B + p.pair.d2(2.2) == pytest.approx(0.0, abs=1e-18)
 
 
@@ -77,9 +79,37 @@ def test_coefficients_against_symbolic_oracle(default_p):
     assert c.B == pytest.approx(SYMBOLIC_F1["B"], rel=1e-14)
     assert c.C == pytest.approx(SYMBOLIC_F1["C"], rel=1e-14)
     assert c.D == pytest.approx(SYMBOLIC_F1["D"], rel=1e-14)
-    assert c.A == c.A_hat + c.A_tilde
     with pytest.raises(ValueError):
         coefficients(default_p, -1.0)
+
+
+#: The strain sweep F = 0.800, 0.801, ..., 1.300.
+SWEEP = [i / 1000 for i in range(800, 1301)]
+
+
+@pytest.mark.parametrize("name", ["default-eam", "reversal-eam", "pair-morse"])
+def test_a_f_is_the_coupled_far_row_bitwise(name):
+    # one product of the cubic's basis with the scalars: the modulus of the
+    # atomistic cubic is the far-row diagonal every coupled decision reads
+    p = shipped_potential(name)
+    cases = [(ModelKind.QNL, K) for K in (0, 1, 8)] + [(ModelKind.QCL, 8)]
+    for F in SWEEP:
+        a_f = coefficients(p, F).A
+        for model, K in cases:
+            assert a_f == strain_hessian(model, RegionDecomposition(64, K), p, F).far[0], (model, K, F)
+
+
+@pytest.mark.parametrize("name", ["default-eam", "reversal-eam", "pair-morse"])
+def test_a3_is_the_modulus_above_the_zone_boundary_value(name):
+    # a3 reads A_F > lambda_F(4) as -(B + 4 C + 16 D) = (A_F - lambda_F(4)) / 4 > 0
+    p = shipped_potential(name)
+    for F in SWEEP:
+        c = coefficients(p, F)
+        rep = check_assumptions(p, F)
+        scale = abs(c.A) + 4 * abs(c.B) + 16 * abs(c.C) + 64 * abs(c.D)
+        expected = (c.A - lambda_cubic(c, 4.0)) / 4
+        assert abs(rep.raw["a3_lhs"] - expected) <= 4 * np.finfo(float).eps * scale, F
+        assert rep.a3_holds == (rep.raw["a3_lhs"] > 0), F
 
 
 @pytest.mark.parametrize("F", [math.inf, math.nan, 0.0])
@@ -248,7 +278,7 @@ def test_atomistic_min_of_degenerate_cubics_matches_loop_oracle(abcd, degree, N)
     d = d if degree == "cubic" else 0.0
     c = c if degree in ("cubic", "quadratic") else 0.0
     b = b if degree != "constant" else 0.0
-    coeffs = StabilityCoefficients(F=1.0, A_hat=a, A_tilde=0.0, B=b, C=c, D=d)
+    coeffs = StabilityCoefficients(F=1.0, A=a, B=b, C=c, D=d)
     assert _atomistic_min(coeffs, N) == loop_atomistic_min(coeffs, N)
 
 
