@@ -23,9 +23,10 @@ The three couplings differ only in their tables:
 Each region class has one constant template, its table with bonds relative
 to the atom, and covers runs of consecutive sites.  A term argument is one of
 three per-bond kinds, r_b, r_b + r_{b+1} or r_b + r_b, each shared by two
-atoms, so energies and gradients at any deformed state evaluate each
-potential member once per kind and bond, and sum group densities, run by
-run, from shifted slices of these values; no loop visits single atoms.
+atoms.  Energies and gradients at a deformed state evaluate each potential
+member once per kind on the bond spans where a term reads it (QNL: r_b +
+r_{b+1} at the core, r_b + r_b outside) and sum group densities from
+shifted slices of these values; no loop visits single atoms.
 
 Hessians are only built at the uniform state y_F, the point of the
 stability analysis.  There every term argument is F or 2F and every group
@@ -58,12 +59,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import ChainGrid, PeriodicField, diff
+from .lattice import ChainGrid, PeriodicField
 from .potentials import EAMPotential, NonFiniteError, _uniform_derivatives, mean_field_density, require_finite
 
 __all__ = [
@@ -133,9 +134,11 @@ class Deformation:
     def grid(self) -> ChainGrid:
         return self.displacement.grid
 
-    def strain(self) -> np.ndarray:
-        """Strains (Dy)_l = F + (Du)_l in array order."""
-        return self.F + diff(self.displacement, 1).values
+    def strain(self, extra: int = 0) -> np.ndarray:
+        """Strains (Dy)_l = F + (Du)_l in array order, then the first ``extra`` again."""
+        u = self.displacement.values
+        r = np.diff(np.concatenate((u[-1:], u, u[:extra])))
+        return np.add(np.divide(r, self.grid.epsilon, out=r), self.F, out=r)
 
 
 def _band_apply(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -262,26 +265,28 @@ def _region_classes(kind: ModelKind, N: int, K: int) -> list:
 
 #: Argument kinds r_b, s_b = r_b + r_{b+1} and t_b = r_b + r_b of the bond
 #: lists [o], [o, o -+ 1] and [o, o], by the offsets of the strains they sum.
-_R, _S, _T = range(3)
 _BONDS = ((0,), (0, 1), (0, 0))
 
 
 class _Stencil(NamedTuple):
-    """One model on one grid, O(1) in N: ``(w c, c, kind, block, at)`` per
-    density term, block its group's slice of the group densities and at its
-    arguments' slice of a kind's arguments padded by one entry each side;
-    the group ``weights`` and, per kind used, the ``pair`` weights (half the
-    number of terms at each argument) run-length coded for ``np.repeat``."""
+    """One model on one grid, O(1) in N: the number of ``groups``, their
+    ``weights`` as (values, starts) of nonempty runs, and per maximal run of
+    bonds whose arguments of one kind some term reads a span ``(kind, bonds,
+    pair weights, terms)``; a term, two if it wraps the period, is ``(w c, c,
+    block, at)``, its slices of the group densities and of the span."""
 
-    terms: tuple
+    groups: int
     weights: tuple
-    pair: tuple  # (kind, values, lengths)
+    spans: tuple
 
 
-def _run_lengths(v: np.ndarray) -> tuple:
-    """(values, lengths) of the runs of equal entries of v, as tuples."""
-    starts = np.flatnonzero(np.diff(v, prepend=np.nan))
-    return tuple(v[starts]), tuple(np.diff(starts, append=len(v)))
+def _sweep(runs: list) -> list:
+    """(first, stop, pair weights) per maximal run [first, stop) of bonds the
+    runs [a, b) cover, a bond's weight half the number of runs covering it."""
+    cuts, at = np.unique(runs, return_inverse=True)  # each run adds HALF from a on, takes it off from b on
+    weight = np.cumsum(np.bincount(at.ravel(), np.resize([HALF, -HALF], at.size), len(cuts)))[:-1]
+    edges = np.flatnonzero(np.diff(weight != 0, prepend=False, append=False)).reshape(-1, 2)
+    return [(cuts[i], cuts[j], (tuple(weight[i:j]), tuple(cuts[i:j] - cuts[i]))) for i, j in edges]
 
 
 @lru_cache(maxsize=64)
@@ -289,20 +294,29 @@ def _stencil(model: ModelKind, region: RegionDecomposition | None, grid: ChainGr
     if model == ModelKind.QNL and (region is None or region.N != grid.N):
         raise ValueError("QNL model needs a region decomposition of the grid's size")
     n = grid.period_atoms
-    terms, weights, pos = [], [], 0
+    runs, weights, pos = ([], [], []), [], 0  # per kind (w c, c, block, lo, hi) per term on bonds lo .. hi-1
     for template, start, m in _region_classes(model, grid.N, region.K if model == ModelKind.QNL else -1):
         for w, group_terms in template:
-            weights.append(np.full(m, w))
+            weights += [(w, pos)] if m else []
             for c, b in group_terms:
                 k = _BONDS.index(tuple(o - min(b) for o in sorted(b)))
-                at = start + min(b) + 1
-                terms.append((w * c, c, k, slice(pos, pos + m), slice(at, at + m)))
+                for a in range(start + min(b) - n, start + min(b) + n + 1, n):  # bonds a .. a+m-1
+                    lo, hi = max(a, 0), min(a + m, n)
+                    runs[k].extend([(w * c, c, slice(pos + lo - a, pos + hi - a), lo, hi)] if lo < hi else [])
             pos += m
-    pair = np.zeros((len(_BONDS), n))
-    for _, _, k, _, at in terms:
-        np.add.at(pair[k], np.arange(at.start - 1, at.stop - 1) % n, HALF)
-    pair = tuple((k, *_run_lengths(pair[k])) for k in sorted({t[2] for t in terms}))
-    return _Stencil(tuple(terms), _run_lengths(np.concatenate(weights)), pair)
+    spans = []
+    for k, on_k in enumerate(runs):
+        for first, stop, pair in _sweep([(lo, hi) for *_, lo, hi in on_k]):
+            terms = tuple(
+                (wc, c, block, slice(lo - first, hi - first)) for wc, c, block, lo, hi in on_k if first <= lo < stop
+            )
+            spans.append((k, slice(first, stop), pair, terms))
+    return _Stencil(pos, tuple(zip(*weights)), tuple(spans))
+
+
+def _scaled(c: float, v: np.ndarray) -> np.ndarray:
+    """c v; v itself, the same bits without a copy, if c is 1."""
+    return v if c == 1 else c * v
 
 
 def _on(fn, x: np.ndarray) -> np.ndarray:
@@ -311,21 +325,20 @@ def _on(fn, x: np.ndarray) -> np.ndarray:
     return y if np.shape(y) == x.shape else np.broadcast_to(y, x.shape)
 
 
-def _arguments(r: np.ndarray, kind: int) -> np.ndarray:
-    """Arguments of one kind per bond, bitwise those of the bond lists."""
-    return r if kind == _R else r + np.roll(r, -1) if kind == _S else r + r
+def _arguments(model: ModelKind, region: RegionDecomposition | None, y: Deformation) -> tuple:
+    """The stencil of the model on y's grid, and the arguments of each of
+    its spans, bitwise those of the bond lists."""
+    stencil, r = _stencil(model, region, y.grid), y.strain(1)
+    return stencil, [reduce(np.add, (r[b.start + o : b.stop + o] for o in _BONDS[k])) for k, b, _, _ in stencil.spans]
 
 
-def _group_densities(stencil: _Stencil, r: np.ndarray, p: EAMPotential) -> np.ndarray:
-    """Density of every group, its terms summed in template order."""
-    rho = {}
-    for k, _, _ in stencil.pair:
-        v = _on(p.density.eval, _arguments(r, k))
-        rho[k] = np.concatenate((v[-1:], v, v[:1]))
-    dbar = np.zeros(sum(stencil.weights[1]))  # one per group
-    for _, c, k, block, at in stencil.terms:
-        group = dbar[block]
-        group += c * rho[k][at]
+def _group_densities(stencil: _Stencil, x: list, p: EAMPotential) -> np.ndarray:
+    """Density of every group, its terms summed span by span."""
+    dbar = np.zeros(stencil.groups)
+    for (_, _, _, terms), xi in zip(stencil.spans, x):
+        rho = _on(p.density.eval, xi)
+        for _, c, block, at in terms:
+            dbar[block] += _scaled(c, rho[at])
     return dbar
 
 
@@ -336,11 +349,11 @@ def energy(
     y: Deformation,
 ) -> float:
     """Interaction energy per period (external loads excluded)."""
-    stencil = _stencil(model, region, y.grid)
-    r = y.strain()
-    total = np.dot(_on(p.embedding.eval, _group_densities(stencil, r, p)), np.repeat(*stencil.weights))
-    for k, v, m in stencil.pair:
-        total += np.dot(_on(p.pair.eval, _arguments(r, k)), np.repeat(v, m))
+    stencil, x = _arguments(model, region, y)
+    values, starts = stencil.weights
+    total = np.dot(np.add.reduceat(_on(p.embedding.eval, _group_densities(stencil, x, p)), starts), values)
+    for (_, _, (values, starts), _), xi in zip(stencil.spans, x):
+        total += np.dot(np.add.reduceat(_on(p.pair.eval, xi), starts), values)
     return float(y.grid.epsilon * total)
 
 
@@ -356,27 +369,24 @@ def gradient(
     and at the uniform state the QNL residual vanishes identically: the
     transition tables are built exactly so no ghost force appears.
     """
-    stencil = _stencil(model, region, y.grid)
-    r = y.strain()
-    n = len(r)
-    slope = _on(p.embedding.d1, _group_densities(stencil, r, p))
+    stencil, x = _arguments(model, region, y)
+    slope = _on(p.embedding.d1, _group_densities(stencil, x, p))
+    n = y.grid.period_atoms
     gs = np.zeros(n + 1)  # energy derivative by strain; entry n is strain 0
-    for k, v, m in stencil.pair:
-        acc = np.zeros(n + 2)  # by argument, padded
-        for wc, _, kind, block, at in stencil.terms:
-            if kind == k:
-                term = acc[at]
-                term += wc * slope[block]
-        d = acc[1:-1]
-        d[0] += acc[-1]
-        d[-1] += acc[0]
-        x = _arguments(r, k)
-        d *= _on(p.density.d1, x)
-        d += np.repeat(v, m) * _on(p.pair.d1, x)
+    for (k, at, (values, starts), terms), xi in zip(stencil.spans, x):
+        d = np.zeros(len(xi))  # by argument
+        for wc, _, block, t_at in terms:
+            d[t_at] += _scaled(wc, slope[block])
+        d *= _on(p.density.d1, xi)
+        phi1 = _on(p.pair.d1, xi)
+        for w, a, b in zip(values, starts, starts[1:] + (len(d),)):
+            d[a:b] += _scaled(w, phi1[a:b])
         for o in _BONDS[k]:
-            gs[o : o + n] += d
-    gs[0] += gs[n]
-    return PeriodicField(y.grid, (gs[:n] - np.roll(gs[:n], -1)) / y.grid.epsilon, "residual")
+            gs[at.start + o : at.stop + o] += d
+    gs[0] = gs[n] = gs[0] + gs[n]
+    g = gs[:n] - gs[1:]
+    g /= y.grid.epsilon
+    return PeriodicField(y.grid, g, "residual")
 
 
 #: Bond offsets of every template relative to its atom.

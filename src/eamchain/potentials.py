@@ -74,10 +74,10 @@ class ScalarFunctionC2:
     ``eval``, ``d1`` and ``d2`` act elementwise: given a float they return
     a float, given an array they return an array of its shape.  The model
     evaluators call them on arrays: the pair and density once per argument
-    kind (strains, next-nearest sums, doubled strains) on its value at each
-    bond, the embedding on the group densities; and they broadcast a result
-    that does not depend on the argument (such as ``lambda d: 1.0``) to the
-    argument's shape.
+    kind (strains, next-nearest sums, doubled strains) on its values on the
+    bond spans whose terms read it, the embedding on the group densities;
+    and they broadcast a result that does not depend on the argument (such
+    as ``lambda d: 1.0``) to the argument's shape.
     """
 
     eval: Callable[[float], float]
@@ -104,12 +104,12 @@ def morse_pair(alpha: float) -> ScalarFunctionC2:
     """Morse pair interaction with well at r = 1 and stiffness alpha."""
 
     def f(r: float) -> float:
-        return np.exp(-2 * alpha * (r - 1)) - 2 * np.exp(-alpha * (r - 1))
+        e = np.exp(-alpha * (r - 1))
+        return e * (e - 2)
 
     def f1(r: float) -> float:
-        return -2 * alpha * np.exp(-2 * alpha * (r - 1)) + 2 * alpha * np.exp(
-            -alpha * (r - 1)
-        )
+        e = np.exp(-alpha * (r - 1))
+        return 2 * alpha * e * (1 - e)
 
     def f2(r: float) -> float:
         return 4 * alpha**2 * np.exp(-2 * alpha * (r - 1)) - 2 * alpha**2 * np.exp(

@@ -154,8 +154,9 @@ def test_study_points_build_few_strain_hessians(default_p, monkeypatch):
 
 
 def argument_counting_potential(p: EAMPotential, sizes: dict) -> EAMPotential:
-    """``p`` whose ``density.eval``, ``pair.eval`` and ``pair.d1`` add the
-    number of arguments of each call to ``sizes`` under their names."""
+    """``p`` whose ``density.eval``, ``density.d1``, ``pair.eval`` and
+    ``pair.d1`` add the number of arguments of each call to ``sizes`` under
+    their names."""
 
     def counted(name, fn):
         def f(x):
@@ -165,22 +166,31 @@ def argument_counting_potential(p: EAMPotential, sizes: dict) -> EAMPotential:
         return f
 
     pair = ScalarFunctionC2(counted("pair.eval", p.pair.eval), counted("pair.d1", p.pair.d1), p.pair.d2)
-    density = ScalarFunctionC2(counted("density.eval", p.density.eval), p.density.d1, p.density.d2)
+    density = ScalarFunctionC2(
+        counted("density.eval", p.density.eval), counted("density.d1", p.density.d1), p.density.d2
+    )
     return EAMPotential(pair, density, p.embedding, p.name)
 
 
 def test_deformed_state_evaluates_each_argument_once(default_p, rng):
-    # r_b and r_b + r_{b+1} (atomistic), r_b and r_b + r_b (QCL), at most all
-    # three kinds (QNL): 2N arguments each, however many atoms share them
+    # r_b and r_b + r_{b+1} (atomistic), r_b and r_b + r_b (QCL): 2N
+    # arguments each, however many atoms share them.  QNL evaluates r_b at
+    # every bond, r_b + r_{b+1} on the 2K+3 bonds around the core and
+    # r_b + r_b on the others, bond -K-1 as both: one argument more.  At
+    # K = 8, a wide core K = N/4, and K = N-3, where the transition stencils
+    # wrap the period
     n = 256
-    region = RegionDecomposition(n, K)
     y = Deformation(1.02, random_displacement(ChainGrid(n), rng))
-    for model, kinds in ((ModelKind.ATOMISTIC, 2), (ModelKind.QCL, 2), (ModelKind.QNL, 3)):
-        for evaluate, members in ((energy, ("density.eval", "pair.eval")), (gradient, ("density.eval", "pair.d1"))):
-            sizes = {}
-            evaluate(model, region, argument_counting_potential(default_p, sizes), y)
-            for member in members:
-                assert sizes[member] <= kinds * 2 * n
+    for k in (K, n // 4, n - 3):
+        region = RegionDecomposition(n, k)
+        for model, extra in ((ModelKind.ATOMISTIC, 0), (ModelKind.QCL, 0), (ModelKind.QNL, 1)):
+            for evaluate, members in (
+                (energy, ("density.eval", "pair.eval")),
+                (gradient, ("density.eval", "density.d1", "pair.d1")),
+            ):
+                sizes = {}
+                evaluate(model, region, argument_counting_potential(default_p, sizes), y)
+                assert sizes == {member: 2 * 2 * n + extra for member in members}
 
 
 def test_coupled_decision_at_a_new_n_compiles_no_layout(default_p):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eamchain.lattice import ChainGrid, PeriodicField, diff, norm_l2eps
+from eamchain.lattice import ChainGrid, PeriodicField, diff, displacement_from_strain, norm_l2eps
 from eamchain.models import (
     _ATOM,
     _CONTINUUM,
@@ -20,7 +20,10 @@ from eamchain.models import (
 from eamchain.potentials import (
     EAMPotential,
     ScalarFunctionC2,
+    expdecay_density,
     mean_field_density,
+    morse_pair,
+    quadratic_embedding,
     zero_function,
 )
 
@@ -230,6 +233,24 @@ def test_qnl_matches_atomistic_inside_core(default_p, rng):
     hq = hessian(ModelKind.QNL, region, default_p, 1.02).to_dense()
     for l in range(-(region.K - 2), region.K - 1):
         np.testing.assert_allclose(hq[grid.index(l)], ha[grid.index(l)], atol=0.0)
+
+
+def test_qnl_ignores_an_overflow_in_an_argument_it_never_reads():
+    # a steep Morse pair overflows at the doubled strain 2 r_b of a
+    # compressed bond inside the core, an argument only QCL reads there: QNL
+    # must not weigh that inf by 0, and equals the atomistic chain
+    p = EAMPotential(morse_pair(200.0), expdecay_density(3.0), quadratic_embedding(0.05, 0.5))
+    grid = ChainGrid(16)
+    region = RegionDecomposition(16, 4)
+    strain = np.zeros(grid.period_atoms)
+    strain[14:17] = 0.5, -1.45, 0.5
+    y = Deformation(1.0, displacement_from_strain(grid, strain - strain.mean()))
+    e_atom = energy(ModelKind.ATOMISTIC, region, p, y)
+    e_qnl = energy(ModelKind.QNL, region, p, y)
+    assert np.isfinite(e_atom) and abs(e_qnl - e_atom) <= 1e-12 * abs(e_atom)
+    assert np.all(np.isfinite(gradient(ModelKind.QNL, region, p, y).values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert energy(ModelKind.QCL, region, p, y) == np.inf
 
 
 def test_qnl_matches_qcl_in_deep_continuum(default_p):

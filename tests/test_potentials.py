@@ -35,6 +35,24 @@ def test_morse_curvature_signs():
     assert phi.d2(2.0) < 0
 
 
+@pytest.mark.parametrize("alpha", [3.0, 4.0, 5.0])
+def test_morse_from_one_exponential(alpha):
+    # eval and d1 are written in e = exp(-alpha (r-1)) alone; d2 keeps its
+    # two exponentials bit for bit, as every uniform-state result reads it
+    phi = morse_pair(alpha)
+    r = np.linspace(0.5, 3.0, 2501)
+    e, e2 = np.exp(-alpha * (r - 1)), np.exp(-2 * alpha * (r - 1))
+    scale = 1e-14 * (np.abs(e) + e * e)
+    assert np.all(np.abs(phi.eval(r) - (e2 - 2 * e)) <= scale)
+    assert np.all(np.abs(phi.d1(r) - (-2 * alpha * e2 + 2 * alpha * e)) <= scale)
+
+    def d2(x):
+        return 4 * alpha**2 * np.exp(-2 * alpha * (x - 1)) - 2 * alpha**2 * np.exp(-alpha * (x - 1))
+
+    assert np.array_equal(phi.d2(r), d2(r))
+    assert all(phi.d2(x) == d2(x) for x in map(float, r[::50]))
+
+
 def test_validate_derivatives_polynomial():
     sq = ScalarFunctionC2(lambda r: r * r, lambda r: 2 * r, lambda r: 2.0)
     p = EAMPotential(sq, zero_function(), zero_function())
